@@ -27,7 +27,6 @@ from conftest import bench_settings, run_once, write_report
 from repro.analysis import measure_efficiency
 from repro.baselines import build_model
 from repro.core import CDRTrainer, NMCDR, NMCDRConfig, TrainerConfig, build_task
-from repro.core.subgraph_plan import build_subgraph_plan
 from repro.data import load_scenario
 from repro.data.dataloader import InteractionDataLoader
 from repro.experiments import fast_mode, format_comparison_table
@@ -213,13 +212,10 @@ def _run_pipeline_overlap():
       prep ~1% of wall time, where overlap is unmeasurable).  Serial vs
       epoch-prefetched runs are loss-identical; the prefetch run hides most
       of the data wait behind the training steps.
-    * **Plan build** — median per-step plan-construction time of the PR-2
-      path (per-step rebuild with the scipy fancy-indexing extraction, kept
-      as ``induced_subgraph_scipy``) vs the incremental ``PlanSchedule``
-      with the CSR-native extraction, at the model's exactness depth.
+    * **Plan build** — median per-step plan-construction time of the
+      incremental ``PlanSchedule`` with the CSR-native extraction, at the
+      model's exactness depth.
     """
-    import repro.graph.sampling as sampling_module
-
     scale = SCALING_SCALES[-1]
     with engine.engine_dtype("float32"):
         dataset = load_scenario("cloth_sport", scale=scale, seed=13)
@@ -234,7 +230,6 @@ def _run_pipeline_overlap():
                 sampled_subgraph_training=True,
                 subgraph_num_hops=1,
                 subgraph_fanout=8,
-                scheduled_subgraph_plans=True,
                 prefetch_epochs=prefetch_epochs,
             )
             trainer = CDRTrainer(model, task, config)
@@ -248,54 +243,32 @@ def _run_pipeline_overlap():
             "prefetching must not change the batch stream"
         )
 
-        def plan_build_ms(scheduled, pr2_extraction, num_steps=16):
-            # Deterministic matching pools (max_matching_neighbors=None, a
-            # paper-faithful configuration): the regime where the schedule's
-            # static-closure caching and delta expansion fully engage.
-            if pr2_extraction:
-                original = sampling_module.induced_subgraph
-                sampling_module.induced_subgraph = sampling_module.induced_subgraph_scipy
-            try:
-                model = NMCDR(
-                    task, NMCDRConfig(embedding_dim=32, seed=0, max_matching_neighbors=None)
+        # Deterministic matching pools (max_matching_neighbors=None, a
+        # paper-faithful configuration): the regime where the schedule's
+        # static-closure caching and delta expansion fully engage.
+        model = NMCDR(
+            task, NMCDRConfig(embedding_dim=32, seed=0, max_matching_neighbors=None)
+        )
+        model.configure_subgraph_sampling(True)
+        iterators = [
+            iter(
+                InteractionDataLoader(
+                    task.domain(key).split,
+                    batch_size=256,
+                    rng=np.random.default_rng(index + 1),
                 )
-                model.configure_subgraph_sampling(True, scheduled=scheduled)
-                iterators = [
-                    iter(
-                        InteractionDataLoader(
-                            task.domain(key).split,
-                            batch_size=256,
-                            rng=np.random.default_rng(index + 1),
-                        )
-                    )
-                    for index, key in enumerate(("a", "b"))
-                ]
-                times = []
-                for _ in range(num_steps):
-                    batches = {
-                        key: next(iterator, None)
-                        for key, iterator in zip(("a", "b"), iterators)
-                    }
-                    started = time.perf_counter()
-                    if scheduled:
-                        model.plan_schedule.plan_for(batches)
-                    else:
-                        build_subgraph_plan(
-                            task,
-                            model.config,
-                            batches,
-                            model._sampler,
-                            model._subgraph_settings,
-                            model._subgraph_caches,
-                        )
-                    times.append(time.perf_counter() - started)
-                return float(np.median(times)) * 1e3
-            finally:
-                if pr2_extraction:
-                    sampling_module.induced_subgraph = original
-
-        pr2_ms = plan_build_ms(scheduled=False, pr2_extraction=True)
-        scheduled_ms = plan_build_ms(scheduled=True, pr2_extraction=False)
+            )
+            for index, key in enumerate(("a", "b"))
+        ]
+        times = []
+        for _ in range(16):
+            batches = {
+                key: next(iterator, None) for key, iterator in zip(("a", "b"), iterators)
+            }
+            started = time.perf_counter()
+            model.plan_schedule.plan_for(batches)
+            times.append(time.perf_counter() - started)
+        scheduled_ms = float(np.median(times)) * 1e3
 
     return {
         "scale": scale,
@@ -308,23 +281,19 @@ def _run_pipeline_overlap():
         "serial_step_s": serial.step_seconds_total,
         "prefetch_step_s": prefetched.step_seconds_total,
         "wall_reduction": 1.0 - prefetched.fit_wall_seconds / serial.fit_wall_seconds,
-        "plan_build": {
-            "pr2_per_step_ms": pr2_ms,
-            "scheduled_ms": scheduled_ms,
-            "speedup": pr2_ms / scheduled_ms,
-        },
+        "plan_build": {"scheduled_ms": scheduled_ms},
     }
 
 
 def test_bench_pipeline_overlap(benchmark):
-    """Prefetching hides the data wait; scheduled plans beat PR-2 rebuilds.
+    """Prefetching hides the data wait; the scheduled plan build is recorded.
 
-    The structural claims gated here are deliberately noise-tolerant for
+    The structural claim gated here is deliberately noise-tolerant for
     shared CI hardware: the prefetched run must hide most of the consumer's
     data wait (the wall reduction itself is recorded, not tightly gated —
-    GIL contention makes it hardware-dependent), and the incremental plan
-    schedule with CSR-native extraction must build plans faster than the
-    PR-2 per-step/scipy path.
+    GIL contention makes it hardware-dependent).  The scheduled plan-build
+    time is gated against the committed baseline in
+    ``scripts/check_perf_regression.py``.
     """
     record = run_once(benchmark, _run_pipeline_overlap)
 
@@ -336,9 +305,7 @@ def test_bench_pipeline_overlap(benchmark):
         f"{record['prefetch_fit_wall_s']:.2f}s (data wait "
         f"{record['prefetch_data_wait_s']:.2f}s) — "
         f"wall reduction {record['wall_reduction'] * 100:.1f}%",
-        f"plan build: PR-2 per-step {record['plan_build']['pr2_per_step_ms']:.2f} ms "
-        f"vs scheduled {record['plan_build']['scheduled_ms']:.2f} ms "
-        f"({record['plan_build']['speedup']:.2f}x)",
+        f"plan build: scheduled {record['plan_build']['scheduled_ms']:.2f} ms",
     ]
     write_report("efficiency_pipeline_overlap", "\n".join(lines))
     _update_bench_json(
@@ -356,8 +323,6 @@ def test_bench_pipeline_overlap(benchmark):
     assert record["prefetch_data_wait_s"] < 0.6 * record["serial_data_wait_s"], record
     # And prefetching must never cost wall time beyond noise.
     assert record["prefetch_fit_wall_s"] < 1.05 * record["serial_fit_wall_s"], record
-    # Incremental schedule + CSR-native extraction beats the PR-2 rebuild.
-    assert record["plan_build"]["scheduled_ms"] < 0.9 * record["plan_build"]["pr2_per_step_ms"], record
 
 
 def test_bench_subgraph_scaling(benchmark):
@@ -885,20 +850,16 @@ def test_bench_sharded_pool_scaling(benchmark):
 
 
 def _run_shm_exchange():
-    """Exchange-plane transport cost: shm plane vs pickled pipes.
+    """Exchange-plane cost of pool-sharded training.
 
     Sweeps the matching-pool size — the quantity every data-plane payload
-    scales with — and fits short pool-sharded runs under both transports,
-    eager and traced.  Per point the record carries the fit/step walls, the
-    parent's ``train/pool_gather`` + ``train/pool_scatter`` scope seconds
-    (the same counters ``repro profile`` prints, so the gate and the
-    profiler read one source of truth) and the executor's comms counters:
-    data-plane bytes through shared memory vs pickled over pipes, pipe
-    fallbacks, and parent-side copy seconds.
-
-    The float64 canary fits the exactness configuration under both
-    transports, eager and traced: the plane is a transport, so losses and
-    validation metrics must be **bit-identical**, not merely close.
+    scales with — and fits short pool-sharded runs, eager and traced.  Per
+    point the record carries the fit/step walls, the parent's
+    ``train/pool_gather`` + ``train/pool_scatter`` scope seconds (the same
+    counters ``repro profile`` prints, so the gate and the profiler read one
+    source of truth) and the executor's comms counters: data-plane bytes
+    through shared memory vs pickled over pipes, pipe fallbacks, and
+    parent-side copy seconds.
     """
     import os
 
@@ -912,7 +873,7 @@ def _run_shm_exchange():
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     )
 
-    def fit(pool_size, shm, traced, task):
+    def fit(pool_size, traced, task):
         model = NMCDR(
             task,
             NMCDRConfig(embedding_dim=32, seed=0, max_matching_neighbors=pool_size),
@@ -928,7 +889,6 @@ def _run_shm_exchange():
             n_shards=n_shards,
             pool_sharding=True,
             traced_steps=traced,
-            shm_exchange=shm,
         )
         trainer = CDRTrainer(model, task, config)
         training_engine = trainer.build_engine()
@@ -967,42 +927,9 @@ def _run_shm_exchange():
                     {
                         "pool_size": pool_size,
                         "traced": traced,
-                        "shm": fit(pool_size, True, traced, task),
-                        "pickled": fit(pool_size, False, traced, task),
+                        "shm": fit(pool_size, traced, task),
                     }
                 )
-
-    with engine.engine_dtype("float64"):
-        canary_task = build_task(
-            load_scenario("cloth_sport", scale=0.3, seed=13), head_threshold=7
-        )
-
-        def canary_fit(shm, traced):
-            model = NMCDR(canary_task, NMCDRConfig(embedding_dim=16, seed=3))
-            config = TrainerConfig(
-                num_epochs=2,
-                batch_size=128,
-                seed=11,
-                eval_every=1,
-                num_eval_negatives=20,
-                executor="sharded",
-                n_shards=2,
-                pool_sharding=True,
-                traced_steps=traced,
-                shm_exchange=shm,
-            )
-            return CDRTrainer(model, canary_task, config).fit()
-
-        equivalence = {"dtype": "float64", "n_shards": 2}
-        for traced in (False, True):
-            shm_hist = canary_fit(True, traced)
-            piped_hist = canary_fit(False, traced)
-            equivalence["traced" if traced else "eager"] = {
-                "losses_bit_identical": shm_hist.epoch_losses
-                == piped_hist.epoch_losses,
-                "metrics_bit_identical": shm_hist.validation_metrics
-                == piped_hist.validation_metrics,
-            }
 
     return {
         "scale": scale,
@@ -1012,45 +939,37 @@ def _run_shm_exchange():
         "subgraph": "1 hop, fanout 8",
         "cpu_count": cpu_count,
         "points": points,
-        "equivalence": equivalence,
     }
 
 
 def test_bench_shm_exchange(benchmark):
-    """Shm exchange plane: bit-identical transport, zero pickled data bytes.
+    """Shm exchange plane: zero pickled data-plane bytes, walls recorded.
 
-    Hard assertions stay machine-independent: the float64 canary must be
-    bit-identical across transports (eager and traced), the plane runs must
-    move zero data-plane bytes over pipes, and the pickled runs zero over
-    shared memory.  The wall comparison — plane gather+scatter overhead
-    strictly below the pickled transport's at the largest pool — is paired
-    (both transports timed back to back in this process), with the
-    cross-machine version gated cpu-aware in
-    ``scripts/check_perf_regression.py``.
+    Hard assertions stay machine-independent: the plane runs must move zero
+    data-plane bytes over pipes and hit no pipe fallback.  The fit wall is
+    gated cpu-aware against the committed baseline in
+    ``scripts/check_perf_regression.py``; numeric equivalence of training
+    over the plane is gated by the serial-reference tests of both sharded
+    executors.
     """
     record = run_once(benchmark, _run_shm_exchange)
 
     lines = [
-        "Shm exchange plane vs pickled pipes: pool-sharded transport cost "
+        "Shm exchange plane: pool-sharded exchange cost "
         f"(scale {record['scale']}, batch {record['batch_size']}, "
         f"n_shards={record['n_shards']}, {record['subgraph']})",
         "",
-        f"cpu_count={record['cpu_count']}  canary (float64): "
-        + "  ".join(
-            f"{mode}: losses bit-identical={record['equivalence'][mode]['losses_bit_identical']}"
-            for mode in ("eager", "traced")
-        ),
+        f"cpu_count={record['cpu_count']}",
     ]
     for point in record["points"]:
-        shm, piped = point["shm"], point["pickled"]
+        shm = point["shm"]
         mode = "traced" if point["traced"] else "eager "
         lines.append(
             f"pool={point['pool_size']:>5} {mode}: exchange overhead "
-            f"{shm['exchange_overhead_s'] * 1e3:7.1f} ms shm vs "
-            f"{piped['exchange_overhead_s'] * 1e3:7.1f} ms pickled | "
-            f"data plane {shm['data_plane_shm_bytes'] / 1e6:8.1f} MB shm+"
-            f"{shm['data_plane_pipe_bytes'] / 1e6:.1f} MB pipe vs "
-            f"{piped['data_plane_pipe_bytes'] / 1e6:8.1f} MB pipe"
+            f"{shm['exchange_overhead_s'] * 1e3:7.1f} ms | fit wall "
+            f"{shm['fit_wall_s']:6.2f} s | data plane "
+            f"{shm['data_plane_shm_bytes'] / 1e6:8.1f} MB shm+"
+            f"{shm['data_plane_pipe_bytes'] / 1e6:.1f} MB pipe"
         )
     write_report("efficiency_shm_exchange", "\n".join(lines))
     _update_bench_json(
@@ -1064,18 +983,9 @@ def test_bench_shm_exchange(benchmark):
         }
     )
 
-    for mode in ("eager", "traced"):
-        canary = record["equivalence"][mode]
-        assert canary["losses_bit_identical"], (
-            f"shm exchange changed the {mode} loss stream (transports must be "
-            "bit-identical)"
-        )
-        assert canary["metrics_bit_identical"], (
-            f"shm exchange changed the {mode} validation metrics"
-        )
     for point in record["points"]:
         label = f"pool={point['pool_size']} traced={point['traced']}"
-        shm, piped = point["shm"], point["pickled"]
+        shm = point["shm"]
         assert shm["data_plane_pipe_bytes"] == 0, (
             f"{label}: plane run moved {shm['data_plane_pipe_bytes']} data-plane "
             "bytes over pipes (steady state must be zero)"
@@ -1084,26 +994,6 @@ def test_bench_shm_exchange(benchmark):
             f"{label}: plane run hit {shm['pipe_fallbacks']} pipe fallbacks"
         )
         assert shm["data_plane_shm_bytes"] > 0, f"{label}: comms metering lost"
-        assert piped["data_plane_shm_bytes"] == 0, (
-            f"{label}: pickled run unexpectedly used shared memory"
-        )
-        assert piped["data_plane_pipe_bytes"] > 0, f"{label}: pipe metering lost"
-    # Paired wall claim at the largest pool (both transports timed in this
-    # process): eliminating pickling must make the exchange rounds cheaper.
-    largest_eager = next(
-        p
-        for p in record["points"]
-        if p["pool_size"] == POOL_SWEEP[-1] and not p["traced"]
-    )
-    assert (
-        largest_eager["shm"]["exchange_overhead_s"]
-        < largest_eager["pickled"]["exchange_overhead_s"]
-    ), (
-        "shm exchange overhead not below the pickled transport at pool "
-        f"{POOL_SWEEP[-1]}: "
-        f"{largest_eager['shm']['exchange_overhead_s'] * 1e3:.1f} ms vs "
-        f"{largest_eager['pickled']['exchange_overhead_s'] * 1e3:.1f} ms"
-    )
 
 
 def _run_traced_replay():

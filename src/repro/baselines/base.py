@@ -54,16 +54,12 @@ class SubgraphSamplingMixin:
         num_hops: Optional[int] = None,
         fanout: Optional[int] = None,
         cache_size: int = 16,
-        scheduled: bool = False,
     ) -> None:
         """Enable restricted training-time propagation; see the class docstring.
 
-        ``scheduled`` is accepted for trainer uniformity with
-        :meth:`repro.core.NMCDR.configure_subgraph_sampling`.  The baselines
-        here draw no matching pools, so their per-step plan *is* already the
-        degenerate schedule (seeds = the batch, memoised by signature in the
-        subgraph cache); the flag changes nothing about the plans and the
-        scheduled mode is identical by construction.
+        The baselines here draw no matching pools, so their per-step plan is
+        already the degenerate schedule: seeds = the batch, memoised by
+        signature in the subgraph cache.
         """
         if not enabled:
             self._subgraph_num_hops = None

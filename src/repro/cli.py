@@ -112,15 +112,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
             "replay it as a flat buffer program (requires dropout=0)"
         ),
     )
-    parser.add_argument(
-        "--pickled-pipes",
-        action="store_true",
-        help=(
-            "with --executor sharded: disable the shared-memory exchange "
-            "plane and pickle the data-plane payloads over the worker pipes "
-            "(the pre-PR-8 protocol; useful for comparing the comms section)"
-        ),
-    )
 
 
 def _execution_config_fields(args: argparse.Namespace) -> dict:
@@ -130,7 +121,6 @@ def _execution_config_fields(args: argparse.Namespace) -> dict:
         "n_shards": args.shards,
         "pool_sharding": args.pool_sharding,
         "traced_steps": args.traced,
-        "shm_exchange": not args.pickled_pipes,
     }
 
 
@@ -203,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sampled",
         action="store_true",
         help="profile sampled-subgraph training (adds the plan/build phase)",
-    )
-    profile.add_argument(
-        "--scheduled-plans",
-        action="store_true",
-        help="with --sampled: build plans through the incremental schedule",
     )
     _add_execution_arguments(profile)
 
@@ -485,10 +470,11 @@ def _command_profile(args: argparse.Namespace) -> str:
     """Per-stage (data/plan/step) and per-op breakdown through the engine.
 
     The profiled loop is the real staged engine — DataPipeline (serial or
-    prefetched) → plan provider (per-step or scheduled) → StepExecutor — so
-    the scope rows mirror production phase structure: ``data/wait``,
-    ``plan/build`` (sampled mode), ``train/forward`` / ``train/backward`` /
-    ``train/optimizer``.
+    prefetched) → the incremental plan schedule (``--sampled``) →
+    StepExecutor — so the scope rows mirror production phase structure:
+    ``data/wait``, ``plan/build`` (sampled mode), ``train/forward`` /
+    ``train/backward`` / ``train/optimizer``; sharded runs add the exchange
+    plane's ``comms`` section.
     """
     from .core import CDRTrainer, TrainerConfig
     from .profiling import profile as profile_context, profiler
@@ -513,7 +499,6 @@ def _command_profile(args: argparse.Namespace) -> str:
             seed=settings.seed,
             prefetch_epochs=args.prefetch,
             sampled_subgraph_training=args.sampled,
-            scheduled_subgraph_plans=args.scheduled_plans,
             **_execution_config_fields(args),
         )
         trainer = CDRTrainer(model, task, config)
@@ -531,8 +516,7 @@ def _command_profile(args: argparse.Namespace) -> str:
             f"profiled {args.profile_model} for {history.num_batches} training steps "
             f"(dtype={args.dtype}, batch_size={settings.batch_size}, "
             f"prefetch={args.prefetch}, sampled={args.sampled}, "
-            f"scheduled_plans={args.scheduled_plans}, traced={args.traced}, "
-            f"shm_exchange={not args.pickled_pipes}{executor_note})"
+            f"traced={args.traced}{executor_note})"
         )
         phases = (
             f"phase totals: data wait {history.data_wait_seconds_total * 1e3:.1f} ms | "
@@ -549,13 +533,18 @@ def _training_from_run(run: dict):
     it back); the dataset/task/model themselves come from the same
     :func:`repro.serve.build_run_components` resolver ``repro serve`` uses,
     so all three commands reconstruct the identical architecture and the
-    checkpoint's config fingerprint double-checks the match.
+    checkpoint's config fingerprint double-checks the match.  Trainer
+    fields an older version wrote but this one retired are dropped, so an
+    older run directory stays resumable.
     """
     from .core import CDRTrainer, TrainerConfig
+    from .core.checkpoint import without_retired_fields
     from .serve import build_run_components
 
     model, task, _settings = build_run_components(run)
-    return CDRTrainer(model, task, TrainerConfig(**run["trainer"]))
+    return CDRTrainer(
+        model, task, TrainerConfig(**without_retired_fields(run["trainer"]))
+    )
 
 
 def _format_training_summary(history, resumed: bool = False) -> str:

@@ -25,7 +25,6 @@ from .subgraph_plan import (
     SubgraphSettings,
     build_pool_exchange,
     build_pool_sharded_plan,
-    build_subgraph_plan,
 )
 from .stability import (
     StabilityReport,
@@ -77,7 +76,6 @@ __all__ = [
     "SubgraphPlan",
     "DomainSubgraphPlan",
     "SubgraphSettings",
-    "build_subgraph_plan",
     "StabilityReport",
     "spectral_norm",
     "theoretical_stability_bound",

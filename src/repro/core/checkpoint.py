@@ -64,6 +64,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "restore_training_state",
+    "without_retired_fields",
     "CheckpointCallback",
 ]
 
@@ -86,12 +87,15 @@ _VOLATILE_CONFIG_FIELDS = frozenset(
         "worker_retry_backoff",
         "worker_step_timeout",
         "degrade_on_failure",
-        # Pure IPC-transport choice: shm and pickled pipes carry the same
-        # payloads through the same fixed-order reductions, so a run may be
-        # resumed under either without perturbing the numerics.
-        "shm_exchange",
     }
 )
+
+#: TrainerConfig fields of earlier versions that only chose between
+#: implementations gated numerically identical (per-step vs scheduled
+#: subgraph plans, pickled pipes vs the shm exchange plane).  A saved
+#: ``run.json`` trainer dict or checkpoint fingerprint naming them still
+#: describes the same run, so readers drop them (:func:`without_retired_fields`).
+_RETIRED_CONFIG_FIELDS = frozenset({"scheduled_subgraph_plans", "shm_exchange"})
 
 #: History fields serialised verbatim into the meta blob (JSON round-trips
 #: Python floats exactly, so the restored accumulators stay bit-identical).
@@ -370,6 +374,8 @@ def load_checkpoint(
             f"digest {digest[:12]}… does not match recorded "
             f"{str(meta.get('digest'))[:12]}…; the file is corrupted"
         )
+    # Restore and the serve reloader both compare this fingerprint.
+    meta["config"] = without_retired_fields(meta.get("config", {}))
 
     parameters = {
         name[len("param::"):]: value
@@ -416,6 +422,15 @@ def load_checkpoint(
 # ----------------------------------------------------------------------
 # restore
 # ----------------------------------------------------------------------
+def without_retired_fields(fields: Dict) -> Dict:
+    """A saved trainer-config dict minus the retired field names."""
+    return {
+        name: value
+        for name, value in fields.items()
+        if name not in _RETIRED_CONFIG_FIELDS
+    }
+
+
 def config_fingerprint(config) -> Dict:
     """The numerics-relevant TrainerConfig fields, JSON-ready."""
     fingerprint = {}

@@ -128,8 +128,11 @@ class TrainerConfig:
     #: When true, models exposing ``configure_subgraph_sampling`` (NMCDR and
     #: the graph baselines) train on induced k-hop subgraphs around each
     #: mini-batch instead of the full graph, making step cost O(batch).
-    #: Evaluation always runs the exact full-graph forward.  Models without
-    #: graph propagation ignore the switch (they are already O(batch)).
+    #: NMCDR builds each step's plan through its persistent per-epoch
+    #: :class:`~repro.core.plan_schedule.PlanSchedule` (delta-updated seed
+    #: sets, incremental k-hop expansion).  Evaluation always runs the exact
+    #: full-graph forward.  Models without graph propagation ignore the
+    #: switch (they are already O(batch)).
     sampled_subgraph_training: bool = False
     #: Hop count of the sampled subgraph; ``None`` resolves to the model's
     #: exactness depth (encoder layers, plus one when node complementing is
@@ -140,12 +143,6 @@ class TrainerConfig:
     #: (exact neighbourhoods).  Setting it bounds subgraph size at the cost
     #: of approximate propagation for truncated nodes.
     subgraph_fanout: Optional[int] = None
-    #: When true, sampled-subgraph training builds its plans through the
-    #: persistent per-epoch :class:`~repro.core.plan_schedule.PlanSchedule`
-    #: (delta-updated seed sets, incremental k-hop expansion) instead of
-    #: rebuilding from scratch every step.  Plans — and therefore losses and
-    #: gradients — are bit-identical to per-step building.
-    scheduled_subgraph_plans: bool = False
     #: Background data prefetching: ``0`` (default) prepares batches on the
     #: training thread exactly like the historical loop (seed parity); any
     #: positive value runs the data pipeline on a worker thread buffering
@@ -158,7 +155,10 @@ class TrainerConfig:
     #: :class:`~repro.core.sharded.ShardedStepExecutor`, which splits every
     #: joint batch across ``n_shards`` forked worker processes over
     #: shared-memory parameters and reduces gradients with a fixed-order
-    #: sum before one Adam update.
+    #: sum before one Adam update.  Its data-plane payloads (dispatch index
+    #: sets, activation tables, table gradients, loss terms) travel through
+    #: the shared-memory exchange plane (:mod:`repro.core.exchange`); the
+    #: worker pipes carry control headers only.
     executor: str = "serial"
     #: Worker-process count of the sharded executor (ignored when
     #: ``executor="serial"``).  ``1`` is the serial-replica mode: bit-exact
@@ -185,14 +185,6 @@ class TrainerConfig:
     #: Requires ``dropout=0.0`` (per-module dropout draws cannot be rewound
     #: after a guard fallback).
     traced_steps: bool = False
-    #: Carry the sharded executors' steady-state data-plane payloads —
-    #: dispatch index sets, activation tables, summed table gradients, loss
-    #: terms — through pre-allocated double-buffered shared-memory exchange
-    #: blocks instead of pickling them over the worker pipes; pipes then
-    #: carry only tiny control headers.  Bit-identical to the pickled path
-    #: (same fixed-order reductions) and purely an IPC optimisation; set
-    #: ``False`` to fall back to the PR-4/PR-5 pickled-pipe protocol.
-    shm_exchange: bool = True
     #: Learning-rate schedule applied once per epoch: ``None`` keeps the
     #: fixed rate of the paper, ``"step"`` decays by ``lr_gamma`` every
     #: ``lr_step_size`` epochs, ``"exponential"`` decays by ``lr_gamma``

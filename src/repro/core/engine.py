@@ -5,17 +5,17 @@ independently testable stages wired by callbacks:
 
 * a :class:`~repro.data.pipeline.DataPipeline` supplies joint per-step batch
   dicts (serial, or prefetched on a background worker);
-* the model's plan provider (per-step builder or the incremental
-  :class:`~repro.core.plan_schedule.PlanSchedule`) turns a step's batches
+* in sampled-subgraph training the model's incremental
+  :class:`~repro.core.plan_schedule.PlanSchedule` turns a step's batches
   into a subgraph plan — the engine only signals epoch boundaries through
   the model's optional ``on_epoch_start`` hook;
 * a :class:`StepExecutor` runs the optimisation step (forward, backward,
-  clip, update, cache invalidation).  A future sharded/data-parallel
-  executor replaces this object without touching the loop.
+  clip, update, cache invalidation).  The sharded executors of
+  :mod:`repro.core.sharded` replace this object without touching the loop.
 
 Cross-cutting concerns — early stopping, learning-rate scheduling, custom
 monitoring — plug in as :class:`Callback` objects instead of branches inside
-the loop.  With the default configuration (serial pipeline, per-step plans,
+the loop.  With the default configuration (serial pipeline, serial executor,
 no scheduler) the engine replays the historical loop exactly: same rng
 consumption, same step order, same histories under a fixed seed.
 

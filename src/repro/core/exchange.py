@@ -1,11 +1,10 @@
 """Zero-copy shared-memory exchange plane for the sharded executors.
 
-The pool-sharded protocol's steady-state data plane — dispatch index sets,
-per-domain activation tables, summed table gradients and raw loss terms —
-previously crossed worker pipes as pickled payloads (``O(pool × D)`` per
-shard per step).  This module moves every one of those payloads into
-pre-allocated, double-buffered POSIX shared-memory *regions*; pipes carry
-only tiny control headers.  The layout is an explicit message format — the
+The sharded executors' data plane — dispatch index sets, per-domain
+activation tables, summed table gradients and raw loss terms, ``O(pool × D)``
+per shard per step in the pool-sharded protocol — lives in pre-allocated,
+double-buffered POSIX shared-memory *regions*; the worker pipes carry only
+tiny control headers.  The layout is an explicit message format — the
 single-host rehearsal of a future multi-host wire protocol.
 
 Region model
@@ -37,7 +36,7 @@ Region model
 Wire format
 -----------
 
-A data-plane header replacing a pickled payload is the tuple::
+A data-plane header is the tuple::
 
     ("shm", (region_id, segment_name, generation, slot_bytes),
      slot, skeleton, meta)
@@ -45,10 +44,10 @@ A data-plane header replacing a pickled payload is the tuple::
 where ``skeleton`` is the payload's container tree with every ndarray
 replaced by an index, and ``meta[i] = (shape, dtype_str, offset)`` locates
 array ``i`` inside the slot (offsets are 64-byte aligned, relative to the
-slot start).  The fallback form is ``("pipe", payload)`` with the payload
-pickled as before.  Activation tables and summed gradients need no header
-at all: both sides derive ``(capacity_rows, dim)`` views from the table
-layout carried in the step's dispatch envelope, and the gather/scatter
+slot start).  The overflow fallback form is ``("pipe", payload)`` with the
+payload pickled over the pipe.  Activation tables and summed gradients need
+no header at all: both sides derive ``(capacity_rows, dim)`` views from the
+table layout carried in the step's dispatch envelope, and the gather/scatter
 rounds shrink to bare barrier tags.
 
 The skeleton supports dicts, lists, tuples, dataclasses (rebuilt as the
@@ -190,7 +189,7 @@ def _rebuild(skeleton, resolve):
 
 
 def tree_array_bytes(tree) -> int:
-    """Total ndarray payload bytes in a container tree (legacy-path metering)."""
+    """Total ndarray payload bytes in a container tree (pipe-fallback metering)."""
     arrays: List[np.ndarray] = []
     _flatten(tree, arrays)
     return int(sum(array.nbytes for array in arrays))
@@ -242,8 +241,8 @@ class CommsStats:
     One instance lives on the executor for its whole life (surviving
     degrade-and-reopen cycles) and is surfaced as the profiler's ``comms``
     section.  ``fallback_data_bytes`` is the structural "steady-state
-    pickled data-plane bytes" gate: with the plane active it stays 0 unless
-    a worker-side reply overflow forced a one-step pipe fallback.
+    pickled data-plane bytes" gate: it stays 0 unless a worker-side reply
+    overflow forced a one-step pipe fallback.
     """
 
     def __init__(self) -> None:
@@ -263,7 +262,7 @@ class CommsStats:
         self.forced_regrows = 0
         #: Worker replies that overflowed their region and rode the pipe.
         self.pipe_fallbacks = 0
-        #: Pickled ndarray bytes that crossed a pipe while the plane was on.
+        #: Pickled ndarray bytes those fallback replies carried.
         self.fallback_data_bytes = 0
 
     def record(

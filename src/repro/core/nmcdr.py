@@ -43,7 +43,6 @@ from .subgraph_plan import (
     SubgraphPlan,
     SubgraphSettings,
     build_pool_exchange,
-    build_subgraph_plan,
     build_subgraph_plan_from_pools,
     sample_matching_pools,
 )
@@ -216,7 +215,6 @@ class NMCDR(Module):
         num_hops: Optional[int] = None,
         fanout: Optional[int] = None,
         cache_size: int = 16,
-        scheduled: bool = False,
     ) -> None:
         """Switch mini-batch training to k-hop subgraph forwards.
 
@@ -247,11 +245,10 @@ class NMCDR(Module):
         (``max_matching_neighbors=None``) and fixed negatives — so the
         default is kept small to bound memory on large graphs.
 
-        ``scheduled=True`` replaces the per-step plan rebuild with a
-        persistent :class:`~repro.core.plan_schedule.PlanSchedule`:
-        delta-updated seed sets, an incremental k-hop expansion and pool
-        draws in the same full-forward rng order — plans (and therefore
-        losses and gradients) stay bit-identical to per-step building.
+        Plans come from a persistent
+        :class:`~repro.core.plan_schedule.PlanSchedule`: delta-updated seed
+        sets, an incremental k-hop expansion and pool draws in the
+        full-graph forward's rng order.
         """
         if not enabled:
             self._subgraph_settings = None
@@ -269,16 +266,12 @@ class NMCDR(Module):
                 resolved += 1
         self._subgraph_settings = SubgraphSettings(num_hops=resolved, fanout=fanout)
         self._subgraph_caches = {key: SubgraphCache(cache_size) for key in DOMAIN_KEYS}
-        self._plan_schedule = (
-            PlanSchedule(
-                self.task,
-                self.config,
-                self._subgraph_settings,
-                self._sampler,
-                self._subgraph_caches,
-            )
-            if scheduled
-            else None
+        self._plan_schedule = PlanSchedule(
+            self.task,
+            self.config,
+            self._subgraph_settings,
+            self._sampler,
+            self._subgraph_caches,
         )
 
     @property
@@ -287,7 +280,7 @@ class NMCDR(Module):
 
     @property
     def plan_schedule(self) -> Optional[PlanSchedule]:
-        """The active incremental plan schedule, if one is configured."""
+        """The incremental plan schedule while subgraph sampling is on."""
         return self._plan_schedule
 
     def on_epoch_start(self, epoch: int) -> None:
@@ -304,7 +297,6 @@ class NMCDR(Module):
             type(self).__name__,
             plan_structure_key(
                 self._subgraph_settings,
-                scheduled=self._plan_schedule is not None,
                 pool_sharded=self._pool_planner is not None,
             ),
         )
@@ -508,19 +500,9 @@ class NMCDR(Module):
         batches and the loss reads local rows.
         """
         plan: Optional[SubgraphPlan] = None
-        if self._subgraph_settings is not None:
+        if self._plan_schedule is not None:
             with profiler.scope("plan/build"):
-                if self._plan_schedule is not None:
-                    plan = self._plan_schedule.plan_for(batches)
-                else:
-                    plan = build_subgraph_plan(
-                        self.task,
-                        self.config,
-                        batches,
-                        self._sampler,
-                        self._subgraph_settings,
-                        self._subgraph_caches,
-                    )
+                plan = self._plan_schedule.plan_for(batches)
         reps = self.forward_representations(plan)
         w_co_a, w_co_b, w_cls_a, w_cls_b = self.config.loss_weights
         total: Optional[Tensor] = None
@@ -644,8 +626,9 @@ class NMCDR(Module):
         subgraph around the micro-batch (plus the pools' closure), so shard
         cost follows the micro-batch; with ``localize=False`` (the
         ``n_shards=1`` replica mode) the forward replays the serial
-        computation verbatim — the model's own configured path, with the
-        pools injected — and is bit-identical to the serial executor.
+        computation — the full-graph forward with the pools injected, or,
+        under subgraph sampling, a from-scratch plan byte-identical to the
+        serial schedule's — and is bit-identical to the serial executor.
         Loss terms are normalised by ``full_sizes`` (the step's full batch
         sizes) so the per-shard losses and gradients decompose the
         full-batch quantities.
@@ -775,22 +758,18 @@ class NMCDR(Module):
         exchange: PoolExchange,
         shard_index: int,
         full_sizes: Optional[Dict[str, int]] = None,
-        publish=None,
-    ):
-        """Phase 1 of a pool-sharded step: encode, extract owned activations.
+        publish,
+    ) -> "_PoolShardStepState":
+        """Phase 1 of a pool-sharded step: encode, publish owned activations.
 
         Builds the shard's pool-partitioned plan (micro-batch closure plus
         the *owned* slice of the pool exchange — per-shard encoder cost
-        follows ``batch + pool/n_shards``), runs stages 0/1, and returns the
-        opaque step state together with the owned exchange users' encoder
-        activations, ``{key: (n_owned, D) float array}``, for the parent's
-        all-gather.
-
-        With ``publish`` set (the shm exchange plane's table publisher),
-        ``publish(key, user_g1, owned_local)`` is called per active domain —
-        the publisher gathers the owned rows straight into its shared
-        activation table — and ``publish(key, None, None)`` for domains with
-        no owned rows; the returned activations dict is then ``None``.
+        follows ``batch + pool/n_shards``), runs stages 0/1 and returns the
+        opaque step state.  ``publish`` is the exchange plane's table
+        publisher: ``publish(key, user_g1, owned_local)`` is called per
+        domain with owned rows — it gathers them straight into the shared
+        activation table for the parent's all-gather — and
+        ``publish(key, None, None)`` for domains without.
         """
         if pools is None:
             raise ValueError("pool-sharded steps need the parent-drawn matching pools")
@@ -816,30 +795,15 @@ class NMCDR(Module):
             self._pool_planner = planner
         plan = planner.plan_for(batches, intra_pools, inter_pools, exchange)
         reps = self.encode_representations(plan)
-        dtype = get_dtype()
-        state = _PoolShardStepState(
-            plan=plan, reps=reps, batches=batches, full_sizes=full_sizes
-        )
-        if publish is not None:
-            for key in DOMAIN_KEYS:
-                domain_plan = plan.domain(key)
-                if key in reps and domain_plan.owned_local.size:
-                    publish(key, reps[key]["user_g1"], domain_plan.owned_local)
-                else:
-                    publish(key, None, None)
-            return state, None
-        activations: Dict[str, np.ndarray] = {}
         for key in DOMAIN_KEYS:
             domain_plan = plan.domain(key)
             if key in reps and domain_plan.owned_local.size:
-                activations[key] = np.ascontiguousarray(
-                    reps[key]["user_g1"].data[domain_plan.owned_local]
-                )
+                publish(key, reps[key]["user_g1"], domain_plan.owned_local)
             else:
-                activations[key] = np.zeros(
-                    (0, self.config.resolved_hge_dim), dtype=dtype
-                )
-        return state, activations
+                publish(key, None, None)
+        return _PoolShardStepState(
+            plan=plan, reps=reps, batches=batches, full_sizes=full_sizes
+        )
 
     def match_shard_step(
         self,
@@ -847,7 +811,7 @@ class NMCDR(Module):
         tables: Dict[str, np.ndarray],
         *,
         include_extra: bool = True,
-        boundary_out: Optional[Dict[str, np.ndarray]] = None,
+        boundary_out: Dict[str, np.ndarray],
     ):
         """Phase 2: matching stages over local rows + the gathered pool table.
 
@@ -857,9 +821,13 @@ class NMCDR(Module):
         as one leaf per domain, and the backward pass of this phase stops at
         the boundary — accumulating matching/prediction parameter gradients,
         the boundary leaves' gradients (re-injected into the encoder graph
-        in phase 3) and the table gradients returned here for the parent's
-        mirrored scatter.  Returns ``(ShardLoss, {key: (E, D) grad array})``;
-        the shard loss's ``loss`` field is already backwarded and cleared.
+        in phase 3) and the table gradients for the parent's mirrored
+        scatter.  The table gradients are written into ``boundary_out``
+        (the caller's pre-allocated buffers — shm reply-slot views, so the
+        gradients take no extra heap copy on their way to the parent).
+        Returns ``(ShardLoss, {key: (E, D) grad array})`` with the
+        ``boundary_out`` buffers of the active domains; the shard loss's
+        ``loss`` field is already backwarded and cleared.
         """
         del include_extra  # NMCDR has no model-level extra losses
         plan = state.plan
@@ -893,20 +861,12 @@ class NMCDR(Module):
             result.loss = None
         boundary: Dict[str, np.ndarray] = {}
         for key, leaf in table_leaves.items():
-            dest = None if boundary_out is None else boundary_out.get(key)
-            if dest is not None:
-                # Exchange-plane path: the caller pre-allocated the gradient
-                # buffer (a shm reply-slot view), so the boundary never takes
-                # an extra heap copy on its way to the wire.
-                if leaf.grad is not None:
-                    np.copyto(dest, leaf.grad)
-                else:
-                    dest[...] = 0.0
-                boundary[key] = dest
-            elif leaf.grad is not None:
-                boundary[key] = np.array(leaf.grad, copy=True)
+            dest = boundary_out[key]
+            if leaf.grad is not None:
+                np.copyto(dest, leaf.grad)
             else:
-                boundary[key] = np.zeros(leaf.data.shape, dtype=leaf.data.dtype)
+                dest[...] = 0.0
+            boundary[key] = dest
         return result, boundary
 
     def finish_shard_step(

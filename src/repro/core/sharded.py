@@ -7,7 +7,10 @@ joint step is split into per-shard micro-batches (``user_id % n_shards``,
 its micro-batch with the existing :class:`~repro.core.subgraph_plan.
 SubgraphPlan` machinery and runs forward/backward on its own core, and the
 parent combines the per-shard gradients with a fixed-order all-reduce-style
-sum before one in-place Adam update.
+sum before one in-place Adam update.  Step payloads — micro-batches, pools,
+loss terms and, pool-sharded, the activation tables — travel through the
+shared-memory exchange plane (:mod:`repro.core.exchange`); the worker pipes
+carry control headers only.
 
 Determinism / equivalence design
 --------------------------------
@@ -103,13 +106,7 @@ from ..optim import Optimizer, clip_grad_norm, reduce_gradient_shards
 from ..profiling import profiler
 from . import faults
 from .engine import StepExecutor
-from .exchange import (
-    CommsStats,
-    ExchangeClient,
-    ExchangePlane,
-    _release_shm,
-    tree_array_bytes,
-)
+from .exchange import CommsStats, ExchangeClient, ExchangePlane, _release_shm
 from .task import DOMAIN_KEYS
 
 __all__ = [
@@ -128,11 +125,11 @@ class WorkerDied(RuntimeError):
 class WorkerTimeout(RuntimeError):
     """A shard worker blew through the step deadline (presumed hung)."""
 
-#: Wire commands of the parent → worker pipe protocol.  ``_STEP``/``_STOP``
-#: are the legacy pickled-payload commands; ``_STEP_X`` dispatches a step as
-#: a tiny control envelope whose data-plane payloads live in the shm
-#: exchange plane (see :mod:`repro.core.exchange`).
-_STEP, _STOP, _STEP_X = "step", "stop", "stepx"
+#: Wire commands of the parent → worker pipe protocol.  ``_STEP`` dispatches
+#: a step as a tiny control envelope whose data-plane payloads live in the
+#: shm exchange plane (see :mod:`repro.core.exchange`); ``_STOP`` ends the
+#: worker loop.
+_STEP, _STOP = "step", "stop"
 
 
 @dataclass
@@ -163,7 +160,7 @@ class ShardLoss:
     #: Model-level extra losses (computed on shard 0 only), as a float.
     extra: Optional[float] = None
     #: Per-parameter "this shard produced a gradient" mask (set by the
-    #: executor when a step result crosses the pipe, not by models).
+    #: executor when a step result reaches the parent, not by models).
     present: Optional[np.ndarray] = None
 
 
@@ -399,18 +396,18 @@ def _single_phase_step(
     pools,
     full_sizes,
     localize: bool,
-    runtime=None,
-    client: Optional[ExchangeClient] = None,
+    runtime,
+    client: ExchangeClient,
 ) -> None:
-    """One PR-4 single-phase step: forward/backward → publish → done message.
+    """One single-phase step: forward/backward → publish → done message.
 
     The single wire format both worker loops share — :func:`_worker_main`
     for every step, :func:`_pool_worker_main` for the pool-free fallback —
     so :meth:`ShardedStepExecutor._collect_single_phase` can parse either.
     With a trace ``runtime``, the forward+backward runs as one traced
-    section; zero-grad and the gradient publish stay eager.  With an
-    exchange ``client`` the done message shrinks to a control header whose
-    term/presence arrays live in the shard's shm reply slot.
+    section; zero-grad and the gradient publish stay eager.  The done
+    message is a control header whose term/presence arrays live in the
+    shard's shm reply slot.
     """
     for parameter in parameters:
         parameter.zero_grad()
@@ -438,30 +435,17 @@ def _single_phase_step(
             rng_sources=model_rng_sources(model),
         )
     present = _publish_worker_gradients(parameters, grad_views)
-    if client is not None:
-        header = client.pack_reply(
-            {
-                "terms": result.terms,
-                "reductions": result.reductions,
-                "extra": result.extra,
-                "value_dtype": result.value_dtype,
-                "present": present,
-            }
-        )
-        connection.send(
-            ("done", header, _runtime_stats(runtime), client.take_grow_request())
-        )
-        return
+    header = client.pack_reply(
+        {
+            "terms": result.terms,
+            "reductions": result.reductions,
+            "extra": result.extra,
+            "value_dtype": result.value_dtype,
+            "present": present,
+        }
+    )
     connection.send(
-        (
-            "done",
-            result.terms,
-            result.reductions,
-            result.extra,
-            result.value_dtype,
-            present,
-            _runtime_stats(runtime),
-        )
+        ("done", header, _runtime_stats(runtime), client.take_grow_request())
     )
 
 
@@ -489,10 +473,9 @@ def _worker_main(
     grad_views: Sequence[np.ndarray],
     localize: bool,
     traced: bool = False,
-    use_exchange: bool = False,
 ) -> None:
     """Shard worker loop: recv step → forward/backward → publish gradients."""
-    client = ExchangeClient() if use_exchange else None
+    client = ExchangeClient()
     try:
         _close_inherited_fds(parent_fds)
         _attach_worker(model, parameters, param_views, localize)
@@ -505,20 +488,15 @@ def _worker_main(
                 return
             if message[0] == _STOP:
                 return
-            if message[0] == _STEP_X:
-                env = message[1]
-                client.begin_step(env)
-                # Dispatch payloads are copied out of the slot: plan caches
-                # retain batch/pool index arrays across steps, past the
-                # slot's double-buffer lifetime.
-                micro_batches = client.unpack(env["micro"], copy=True)
-                bcast = env["bcast"]
-                pools = (
-                    client.unpack(bcast, copy=True) if bcast is not None else None
-                )
-                full_sizes = env["full_sizes"]
-            else:
-                _, micro_batches, pools, full_sizes = message
+            env = message[1]
+            client.begin_step(env)
+            # Dispatch payloads are copied out of the slot: plan caches
+            # retain batch/pool index arrays across steps, past the slot's
+            # double-buffer lifetime.
+            micro_batches = client.unpack(env["micro"], copy=True)
+            bcast = env["bcast"]
+            pools = client.unpack(bcast, copy=True) if bcast is not None else None
+            full_sizes = env["full_sizes"]
             # Worker-local step index (restarts at 0 in a respawned worker,
             # so one-shot step-matched faults cannot re-fire during replay).
             faults.worker_step(shard_index, step_counter)
@@ -535,13 +513,12 @@ def _worker_main(
                     full_sizes,
                     localize,
                     runtime,
-                    client if message[0] == _STEP_X else None,
+                    client,
                 )
             except BaseException as error:  # noqa: BLE001 — forwarded to the parent
                 connection.send(("error", repr(error), traceback.format_exc()))
     finally:
-        if client is not None:
-            client.close()
+        client.close()
         try:
             connection.close()
         except OSError:  # pragma: no cover
@@ -579,7 +556,6 @@ class ShardedStepExecutor(StepExecutor):
         max_retries: int = 0,
         retry_backoff: float = 0.05,
         degrade_on_failure: bool = False,
-        shm_exchange: bool = True,
     ) -> None:
         super().__init__(model, optimizer, grad_clip_norm)
         # Tracing happens inside the workers (each owns a program cache);
@@ -631,10 +607,9 @@ class ShardedStepExecutor(StepExecutor):
         self._responses: List[int] = []
         self._step_retries: List[int] = []
         #: Shared-memory exchange plane (the zero-copy data plane); pipes
-        #: carry only control headers while it is on.  Lives from open() to
+        #: carry only control headers.  Lives from open() to
         #: _teardown_workers(); the stats object outlives it (degrade-and-
         #: reopen cycles keep accumulating into one ``comms`` section).
-        self.shm_exchange = bool(shm_exchange)
         self.comms_stats = CommsStats()
         self._plane: Optional[ExchangePlane] = None
         #: Executor-global step counter: drives the exchange plane's
@@ -685,9 +660,8 @@ class ShardedStepExecutor(StepExecutor):
             self._blocks.append(grad_block)
             self._grad_views.append(grad_block.views)
         self._publish_parameters()
-        if self.shm_exchange:
-            self._plane = ExchangePlane(self.n_shards, self.comms_stats)
-            self._plane.open()
+        self._plane = ExchangePlane(self.n_shards, self.comms_stats)
+        self._plane.open()
 
         self._localize = self.n_shards > 1
         workers, connections = [], []
@@ -751,7 +725,6 @@ class ShardedStepExecutor(StepExecutor):
                 self._grad_views[shard_index],
                 self._localize,
                 self.traced,
-                self._plane is not None,
             ),
             name=f"repro-shard-{shard_index}",
             daemon=True,
@@ -934,7 +907,7 @@ class ShardedStepExecutor(StepExecutor):
         already consumed before the failure are received again and
         discarded (the recomputation is bit-identical — same shared
         parameters, same parent-drawn pools, same micro-batch).  The strict
-        1:1 send/receive alternation of both wire protocols makes the
+        1:1 send/receive alternation of the wire protocol makes the
         interleaving deadlock-free: at most one response is ever
         outstanding.  On return the worker is exactly where its predecessor
         was when it failed.
@@ -1002,40 +975,28 @@ class ShardedStepExecutor(StepExecutor):
         )
 
     def _collect_single_phase(self) -> List[ShardLoss]:
-        """Receive every shard's one-shot step result (the PR-4 protocol).
+        """Receive every shard's one-shot step result.
 
-        Parses both wire forms: the legacy 7-tuple with pickled payloads and
-        the exchange plane's 4-tuple ``("done", header, trace_stats, grow)``
-        whose arrays live in the shard's shm reply slot.
+        Each reply is ``("done", header, trace_stats, grow)``, its arrays
+        living in the shard's shm reply slot.
         """
         results: List[ShardLoss] = []
         for shard_index in range(self.n_shards):
             message = self._receive_supervised(shard_index)
             if message[0] == "error":
                 self._raise_worker_failure(shard_index, message)
-            if len(message) == 4:
-                _, header, trace_stats, grow = message
-                self._plane.request_grow(grow)
-                payload = self._plane.unpack(header, "loss")
-                terms = payload["terms"]
-                reductions = payload["reductions"]
-                extra = payload["extra"]
-                value_dtype = payload["value_dtype"]
-                present = payload["present"]
-            else:
-                _, terms, reductions, extra, value_dtype, present, trace_stats = message
-                self.comms_stats.record(
-                    "loss", pipe_bytes=tree_array_bytes((terms, present))
-                )
+            _, header, trace_stats, grow = message
+            self._plane.request_grow(grow)
+            payload = self._plane.unpack(header, "loss")
             if trace_stats is not None:
                 self._shard_trace_stats[shard_index] = trace_stats
             results.append(
                 ShardLoss(
-                    terms=terms,
-                    reductions=reductions,
-                    extra=extra,
-                    value_dtype=value_dtype,
-                    present=present,
+                    terms=payload["terms"],
+                    reductions=payload["reductions"],
+                    extra=payload["extra"],
+                    value_dtype=payload["value_dtype"],
+                    present=payload["present"],
                 )
             )
         return results
@@ -1112,7 +1073,7 @@ class ShardedStepExecutor(StepExecutor):
                 "reply": plane.descriptor(f"w2p{shard_index}"),
                 "tables": tables_env,
             }
-            self._send_supervised(shard_index, (_STEP_X, env))
+            self._send_supervised(shard_index, (_STEP, env))
 
     def _single_phase_reply_bound(self, split: ShardSplit) -> int:
         """Generous upper bound on one shard's reply-slot bytes.
@@ -1129,26 +1090,11 @@ class ShardedStepExecutor(StepExecutor):
         return bound
 
     def _attempt_step(self, batches, pools) -> float:
-        """One supervised execution of the single-phase (PR-4) protocol."""
+        """One supervised execution of the single-phase protocol."""
         split = split_joint_batch(batches, self.n_shards)
         with profiler.scope("train/dispatch"):
-            if self._plane is not None:
-                step_index = self._begin_plane_step(
-                    self._single_phase_reply_bound(split)
-                )
-                self._dispatch_plane(split, step_index, pools, None)
-            else:
-                for shard_index in range(self.n_shards):
-                    message = (
-                        _STEP,
-                        split.micro_batches[shard_index],
-                        pools,
-                        split.full_sizes,
-                    )
-                    self.comms_stats.record(
-                        "dispatch", pipe_bytes=tree_array_bytes(message)
-                    )
-                    self._send_supervised(shard_index, message)
+            step_index = self._begin_plane_step(self._single_phase_reply_bound(split))
+            self._dispatch_plane(split, step_index, pools, None)
         with profiler.scope("train/shard_wait"):
             results = self._collect_single_phase()
         with profiler.scope("train/reduce"):
@@ -1227,18 +1173,18 @@ def _pool_worker_main(
     grad_views: Sequence[np.ndarray],
     localize: bool,
     traced: bool = False,
-    use_exchange: bool = False,
 ) -> None:
     """Pool-sharded worker loop: encode → gather → match → scatter → finish.
 
     Each step runs the two-phase protocol of
     :class:`PoolShardedStepExecutor`: phase 1 encodes the micro-batch
-    closure plus this shard's *owned* slice of the pool exchange and ships
-    the owned encoder activations; after the parent's all-gather, phase 2
-    runs the matching stages against the full activation table, backwards up
-    to the boundary and returns the table gradients; after the parent's
-    mirrored scatter, phase 3 backwards the received owned-row gradients
-    through the encoder and publishes the combined parameter gradients.
+    closure plus this shard's *owned* slice of the pool exchange and writes
+    the owned encoder activations into the shared activation table; after
+    the parent's all-gather barrier, phase 2 runs the matching stages
+    against the full table, backwards up to the boundary and stages the
+    table gradients in its reply slot; after the parent's mirrored scatter,
+    phase 3 backwards its owned slice of the summed gradients through the
+    encoder and publishes the combined parameter gradients.
 
     Steps of models without matching pools (``exchange is None``) fall back
     to the single-phase protocol of :func:`_worker_main` unchanged (the
@@ -1250,12 +1196,12 @@ def _pool_worker_main(
     nodes, so an encode-side re-trace invalidates the finish program's
     guards on the same step and both self-heal together.
     """
-    client = ExchangeClient() if use_exchange else None
-    publisher: Optional[_TablePublisher] = None
+    client = ExchangeClient()
     try:
         _close_inherited_fds(parent_fds)
         _attach_worker(model, parameters, param_views, localize)
         runtime = _make_worker_runtime(model, traced)
+        publisher = _TablePublisher(client, shard_index, runtime)
         step_counter = 0
         while True:
             try:
@@ -1264,20 +1210,14 @@ def _pool_worker_main(
                 return
             if message[0] == _STOP:
                 return
-            plane_step = message[0] == _STEP_X
-            if plane_step:
-                env = message[1]
-                client.begin_step(env)
-                micro_batches = client.unpack(env["micro"], copy=True)
-                bcast = env["bcast"]
-                pools, exchange = (
-                    client.unpack(bcast, copy=True)
-                    if bcast is not None
-                    else (None, None)
-                )
-                full_sizes = env["full_sizes"]
-            else:
-                _, micro_batches, pools, full_sizes, exchange = message
+            env = message[1]
+            client.begin_step(env)
+            micro_batches = client.unpack(env["micro"], copy=True)
+            bcast = env["bcast"]
+            pools, exchange = (
+                client.unpack(bcast, copy=True) if bcast is not None else (None, None)
+            )
+            full_sizes = env["full_sizes"]
             step_index = step_counter
             step_counter += 1
             try:
@@ -1294,18 +1234,13 @@ def _pool_worker_main(
                         full_sizes,
                         localize,
                         runtime,
-                        client if plane_step else None,
+                        client,
                     )
                     continue
                 faults.worker_step(shard_index, step_index, "enc")
                 for parameter in parameters:
                     parameter.zero_grad()
-                publish = None
-                if plane_step:
-                    if publisher is None:
-                        publisher = _TablePublisher(client, shard_index, runtime)
-                    publisher.bind(exchange)
-                    publish = publisher
+                publisher.bind(exchange)
 
                 def encode_phase():
                     return model.encode_shard_step(
@@ -1314,53 +1249,44 @@ def _pool_worker_main(
                         exchange=exchange,
                         shard_index=shard_index,
                         full_sizes=full_sizes,
-                        publish=publish,
+                        publish=publisher,
                     )
 
                 if runtime is None:
-                    state, activations = encode_phase()
+                    state = encode_phase()
                     rng_sources = ()
                 else:
                     from ..tensor.trace import model_rng_sources
 
-                    section_key = _trace_section_key("encode", model, micro_batches)
-                    if publish is not None:
-                        # The zero-copy publish records one gather op per
-                        # *owned* domain, so the program structure depends
-                        # on the ownership mask too.
-                        section_key += (_owned_signature(exchange, shard_index),)
+                    # The zero-copy publish records one gather op per *owned*
+                    # domain, so the program structure depends on the
+                    # ownership mask too.
+                    section_key = _trace_section_key(
+                        "encode", model, micro_batches
+                    ) + (_owned_signature(exchange, shard_index),)
                     rng_sources = model_rng_sources(model)
-                    state, activations = runtime.run_section(
+                    state = runtime.run_section(
                         section_key,
                         encode_phase,
                         rng_sources=rng_sources,
                     )
-                if plane_step:
-                    # Owned table rows were written in place; the reply is a
-                    # bare barrier tag (plus any piggybacked grow request).
-                    connection.send(("enc", None, client.take_grow_request()))
-                else:
-                    connection.send(("enc", activations))
+                # Owned table rows were written in place; the reply is a bare
+                # barrier tag (plus any piggybacked grow request).
+                connection.send(("enc", None, client.take_grow_request()))
                 message = connection.recv()
                 if message[0] == _STOP:
                     return
-                if plane_step:
-                    tables = {
-                        key: client.table_view(key, exchange.size(key))
-                        for key in DOMAIN_KEYS
-                    }
-                    # Boundary-gradient buffers are staged in the reply slot
-                    # *before* the phase runs so the model's copyto is the
-                    # only copy the gradients ever take.
-                    boundary_out = {
-                        key: client.alloc_reply(
-                            tables[key].shape, tables[key].dtype
-                        )
-                        for key in DOMAIN_KEYS
-                    }
-                else:
-                    tables = message[1]
-                    boundary_out = None
+                tables = {
+                    key: client.table_view(key, exchange.size(key))
+                    for key in DOMAIN_KEYS
+                }
+                # Boundary-gradient buffers are staged in the reply slot
+                # *before* the phase runs so the model's copyto is the only
+                # copy the gradients ever take.
+                boundary_out = {
+                    key: client.alloc_reply(tables[key].shape, tables[key].dtype)
+                    for key in DOMAIN_KEYS
+                }
                 faults.worker_step(shard_index, step_index, "match")
 
                 def match_phase():
@@ -1379,48 +1305,31 @@ def _pool_worker_main(
                         match_phase,
                         rng_sources=rng_sources,
                     )
-                if plane_step:
-                    header = client.pack_reply(
-                        {
-                            "terms": result.terms,
-                            "reductions": result.reductions,
-                            "extra": result.extra,
-                            "value_dtype": result.value_dtype,
-                            "boundary": boundary,
-                        }
-                    )
-                    connection.send(("match", header, client.take_grow_request()))
-                else:
-                    connection.send(
-                        (
-                            "match",
-                            result.terms,
-                            result.reductions,
-                            result.extra,
-                            result.value_dtype,
-                            boundary,
-                        )
-                    )
+                header = client.pack_reply(
+                    {
+                        "terms": result.terms,
+                        "reductions": result.reductions,
+                        "extra": result.extra,
+                        "value_dtype": result.value_dtype,
+                        "boundary": boundary,
+                    }
+                )
+                connection.send(("match", header, client.take_grow_request()))
                 message = connection.recv()
                 if message[0] == _STOP:
                     return
-                if plane_step:
-                    # The summed gradients live in the shared "summed"
-                    # region; this shard reads its owned slice directly.
-                    owned_grads = {}
-                    for key in DOMAIN_KEYS:
-                        summed = client.table_view(
-                            key, exchange.size(key), which="summed"
+                # The summed gradients live in the shared "summed" region;
+                # this shard reads its owned slice directly.
+                owned_grads = {}
+                for key in DOMAIN_KEYS:
+                    summed = client.table_view(key, exchange.size(key), which="summed")
+                    owned = exchange.owned_range(key, shard_index)
+                    if owned is not None:
+                        owned_grads[key] = summed[owned[0] : owned[1]]
+                    else:
+                        owned_grads[key] = np.ascontiguousarray(
+                            summed[exchange.owned_positions(key, shard_index)]
                         )
-                        owned = exchange.owned_range(key, shard_index)
-                        if owned is not None:
-                            owned_grads[key] = summed[owned[0] : owned[1]]
-                        else:
-                            owned_grads[key] = np.ascontiguousarray(
-                                summed[exchange.owned_positions(key, shard_index)]
-                            )
-                else:
-                    owned_grads = message[1]
                 faults.worker_step(shard_index, step_index, "finish")
                 if runtime is None:
                     model.finish_shard_step(state, owned_grads)
@@ -1431,23 +1340,19 @@ def _pool_worker_main(
                         rng_sources=rng_sources,
                     )
                 present = _publish_worker_gradients(parameters, grad_views)
-                if plane_step:
-                    header = client.pack_reply({"present": present})
-                    connection.send(
-                        (
-                            "done",
-                            header,
-                            _runtime_stats(runtime),
-                            client.take_grow_request(),
-                        )
+                header = client.pack_reply({"present": present})
+                connection.send(
+                    (
+                        "done",
+                        header,
+                        _runtime_stats(runtime),
+                        client.take_grow_request(),
                     )
-                else:
-                    connection.send(("done", present, _runtime_stats(runtime)))
+                )
             except BaseException as error:  # noqa: BLE001 — forwarded to the parent
                 connection.send(("error", repr(error), traceback.format_exc()))
     finally:
-        if client is not None:
-            client.close()
+        client.close()
         try:
             connection.close()
         except OSError:  # pragma: no cover
@@ -1466,18 +1371,21 @@ class PoolShardedStepExecutor(ShardedStepExecutor):
     exchange on the way back.  Per-shard cost then follows
     ``batch + pool/n_shards``.
 
-    Step protocol (strict lock-step, liveness-polled at every phase)::
+    Step protocol (strict lock-step, liveness-polled at every phase; every
+    payload lives in the shm exchange plane, the pipes carry tags and
+    headers)::
 
         parent: publish params → draw pools → partition pool closure
                 → dispatch (micro-batch, pools, full sizes, exchange)
         shard:  phase 1 — encode batch closure + owned pool slice,
-                send owned activations
-        parent: all-gather into per-domain tables, broadcast
+                write owned activations into the shared table
+        parent: all-gather barrier, broadcast go-ahead
         shard:  phase 2 — matching stages over local rows + table,
-                backward to the boundary, send loss terms + table grads
-        parent: sum table grads in fixed shard order, scatter owned rows
-        shard:  phase 3 — encoder backward seeded with the summed owned
-                gradients, publish parameter gradients
+                backward to the boundary, reply loss terms + table grads
+        parent: sum table grads in fixed shard order into the shared
+                summed table, scatter go-ahead
+        shard:  phase 3 — encoder backward seeded with its owned slice of
+                the summed gradients, publish parameter gradients
         parent: fixed-order reduce → clip → one optimiser update
 
     Determinism matches the replicated executor's contract: pools are drawn
@@ -1513,7 +1421,7 @@ class PoolShardedStepExecutor(ShardedStepExecutor):
         return bound
 
     def _attempt_step(self, batches, pools) -> float:
-        """One supervised execution of the pool-exchange (PR-5) protocol."""
+        """One supervised execution of the pool-exchange protocol."""
         exchange = (
             self.model.plan_pool_exchange(pools, self.n_shards)
             if pools is not None and self.model.capabilities().pool_exchange
@@ -1524,55 +1432,36 @@ class PoolShardedStepExecutor(ShardedStepExecutor):
         # plane lays its activation / summed-gradient regions out from — the
         # ``pool_exchange`` capability declares both halves of the contract.
         plane = self._plane
-        if plane is not None:
-            if exchange is not None:
-                dim, dtype_str = self._load_table_spec()
-                reply_bound = self._pool_reply_bound(
-                    split, exchange, dim, np.dtype(dtype_str).itemsize
-                )
-            else:
-                reply_bound = self._single_phase_reply_bound(split)
-            step_index = self._begin_plane_step(reply_bound)
-            if exchange is not None:
-                # After begin_step: a forced regrow must not invalidate the
-                # table descriptors the envelope is about to carry.
-                plane.ensure_tables(
-                    {key: exchange.size(key) for key in DOMAIN_KEYS},
-                    dim,
-                    dtype_str,
-                    capacity_hint=self._table_hints,
-                )
-                tables_env = plane.tables_env()
-            else:
-                tables_env = None
-            bcast_payload = (
-                (pools, exchange)
-                if pools is not None or exchange is not None
-                else None
+        if exchange is not None:
+            dim, dtype_str = self._load_table_spec()
+            reply_bound = self._pool_reply_bound(
+                split, exchange, dim, np.dtype(dtype_str).itemsize
             )
-            with profiler.scope("train/dispatch"):
-                self._dispatch_plane(split, step_index, bcast_payload, tables_env)
         else:
-            with profiler.scope("train/dispatch"):
-                for shard_index in range(self.n_shards):
-                    message = (
-                        _STEP,
-                        split.micro_batches[shard_index],
-                        pools,
-                        split.full_sizes,
-                        exchange,
-                    )
-                    self.comms_stats.record(
-                        "dispatch", pipe_bytes=tree_array_bytes(message)
-                    )
-                    self._send_supervised(shard_index, message)
+            reply_bound = self._single_phase_reply_bound(split)
+        step_index = self._begin_plane_step(reply_bound)
+        if exchange is not None:
+            # After begin_step: a forced regrow must not invalidate the
+            # table descriptors the envelope is about to carry.
+            plane.ensure_tables(
+                {key: exchange.size(key) for key in DOMAIN_KEYS},
+                dim,
+                dtype_str,
+                capacity_hint=self._table_hints,
+            )
+            tables_env = plane.tables_env()
+        else:
+            tables_env = None
+        bcast_payload = (
+            (pools, exchange) if pools is not None or exchange is not None else None
+        )
+        with profiler.scope("train/dispatch"):
+            self._dispatch_plane(split, step_index, bcast_payload, tables_env)
         if exchange is None:
             with profiler.scope("train/shard_wait"):
                 results = self._collect_single_phase()
-        elif plane is not None:
-            results = self._run_exchange_phases_plane(exchange)
         else:
-            results = self._run_exchange_phases(exchange)
+            results = self._run_exchange_rounds(exchange)
         with profiler.scope("train/reduce"):
             reduce_gradient_shards(
                 self.optimizer.parameters,
@@ -1593,7 +1482,7 @@ class PoolShardedStepExecutor(ShardedStepExecutor):
         for shard_index in range(self.n_shards):
             self._send_supervised(shard_index, message)
 
-    def _run_exchange_phases_plane(self, exchange) -> List[ShardLoss]:
+    def _run_exchange_rounds(self, exchange) -> List[ShardLoss]:
         """The gather/broadcast/scatter rounds over the exchange plane.
 
         Workers write their owned activation rows straight into the shared
@@ -1676,97 +1565,6 @@ class PoolShardedStepExecutor(ShardedStepExecutor):
                 plane.request_grow(message[3])
                 payload = plane.unpack(message[1], "finish", copy=True)
                 results[shard_index].present = payload["present"]
-                trace_stats = message[2]
-                if trace_stats is not None:
-                    self._shard_trace_stats[shard_index] = trace_stats
-        return results
-
-    def _run_exchange_phases(self, exchange) -> List[ShardLoss]:
-        # Phase 1: gather the owned encoder activations into full tables.
-        with profiler.scope("train/pool_gather"):
-            shard_activations = []
-            for shard_index in range(self.n_shards):
-                message = self._receive_supervised(shard_index)
-                if message[0] == "error":
-                    self._raise_worker_failure(shard_index, message)
-                shard_activations.append(message[1])
-                self.comms_stats.record(
-                    "gather", pipe_bytes=tree_array_bytes(message[1])
-                )
-            tables: Dict[str, np.ndarray] = {}
-            for key in DOMAIN_KEYS:
-                reference = shard_activations[0][key]
-                table = np.empty(
-                    (exchange.size(key), reference.shape[1]), dtype=reference.dtype
-                )
-                for shard_index in range(self.n_shards):
-                    positions = exchange.owned_positions(key, shard_index)
-                    if positions.size:
-                        table[positions] = shard_activations[shard_index][key]
-                tables[key] = table
-            self.comms_stats.record(
-                "broadcast",
-                messages=self.n_shards,
-                pipe_bytes=tree_array_bytes(tables) * self.n_shards,
-            )
-            self._broadcast(("tables", tables))
-
-        # Phase 2: per-shard matching results + boundary (table) gradients.
-        results: List[ShardLoss] = []
-        boundaries: List[Dict[str, np.ndarray]] = []
-        with profiler.scope("train/shard_wait"):
-            for shard_index in range(self.n_shards):
-                message = self._receive_supervised(shard_index)
-                if message[0] == "error":
-                    self._raise_worker_failure(shard_index, message)
-                _, terms, reductions, extra, value_dtype, boundary = message
-                self.comms_stats.record(
-                    "loss", pipe_bytes=tree_array_bytes((terms, boundary))
-                )
-                results.append(
-                    ShardLoss(
-                        terms=terms,
-                        reductions=reductions,
-                        extra=extra,
-                        value_dtype=value_dtype,
-                    )
-                )
-                boundaries.append(boundary)
-
-        # Mirrored backward exchange: sum the table gradients in fixed shard
-        # order (the deterministic reduction the equivalence gates rely on)
-        # and scatter each row's total back to its owning shard.
-        with profiler.scope("train/pool_scatter"):
-            summed: Dict[str, np.ndarray] = {}
-            for key in DOMAIN_KEYS:
-                total = np.zeros_like(tables[key])
-                for boundary in boundaries:
-                    grads = boundary.get(key)
-                    if grads is not None and grads.size:
-                        total += grads
-                summed[key] = total
-            for shard_index in range(self.n_shards):
-                owned = {
-                    key: np.ascontiguousarray(
-                        summed[key][exchange.owned_positions(key, shard_index)]
-                    )
-                    for key in DOMAIN_KEYS
-                }
-                self.comms_stats.record(
-                    "scatter", pipe_bytes=tree_array_bytes(owned)
-                )
-                self._send_supervised(shard_index, ("grads", owned))
-
-        # Phase 3: encoder backwards complete; collect gradient presence.
-        with profiler.scope("train/shard_wait"):
-            for shard_index in range(self.n_shards):
-                message = self._receive_supervised(shard_index)
-                if message[0] == "error":
-                    self._raise_worker_failure(shard_index, message)
-                results[shard_index].present = message[1]
-                self.comms_stats.record(
-                    "finish", pipe_bytes=tree_array_bytes(message[1])
-                )
                 trace_stats = message[2]
                 if trace_stats is not None:
                     self._shard_trace_stats[shard_index] = trace_stats

@@ -49,7 +49,6 @@ __all__ = [
     "DomainSubgraphPlan",
     "SubgraphPlan",
     "PoolExchange",
-    "build_subgraph_plan",
     "build_subgraph_plan_from_pools",
     "build_pool_exchange",
     "build_pool_sharded_plan",
@@ -161,10 +160,6 @@ def sample_matching_pools(
                 other = task.other_key(key)
                 inter[key].append(sampler.sample(task.non_overlap_indices(other)))
     return intra, inter
-
-
-# Backwards-compatible private alias (pre-sharding name).
-_sample_pools = sample_matching_pools
 
 
 def batch_index_arrays(
@@ -305,10 +300,11 @@ def build_subgraph_plan_from_pools(
 ) -> SubgraphPlan:
     """Build a step plan from pre-drawn matching pools (no sampler rng).
 
-    This is :func:`build_subgraph_plan` with the pool draws factored out:
-    the sharded executor draws pools once per step in the parent process
-    (:func:`sample_matching_pools`) and every shard worker localises its own
-    micro-batch around the *same* pools, consuming no rng of its own.
+    The from-scratch builder: the sharded executor draws pools once per step
+    in the parent process (:func:`sample_matching_pools`) and every shard
+    worker localises its own micro-batch around the *same* pools, consuming
+    no rng of its own.  Serial sampled training builds the byte-identical
+    plans incrementally through :class:`~repro.core.plan_schedule.PlanSchedule`.
     """
     batch_users, batch_items = batch_index_arrays(batches)
 
@@ -332,21 +328,6 @@ def build_subgraph_plan_from_pools(
         inter_pools,
         settings,
         caches,
-    )
-
-
-def build_subgraph_plan(
-    task: CDRTask,
-    config: NMCDRConfig,
-    batches: Dict[str, Optional[Batch]],
-    sampler: MatchingNeighborSampler,
-    settings: SubgraphSettings,
-    caches: Dict[str, SubgraphCache],
-) -> SubgraphPlan:
-    """Sample pools, extract both domains' induced subgraphs and localise ids."""
-    intra_pools, inter_pools = sample_matching_pools(task, config, sampler)
-    return build_subgraph_plan_from_pools(
-        task, config, batches, intra_pools, inter_pools, settings, caches
     )
 
 

@@ -15,11 +15,11 @@ Any model implementing the small protocol below can be trained:
 :class:`CDRTrainer` is a thin facade: it assembles the per-domain loaders,
 the optimiser and the evaluation closure, then delegates the loop to the
 staged :class:`~repro.core.engine.TrainingEngine` (data pipeline → plan
-provider → step executor, with early stopping and LR scheduling as
+schedule → step executor, with early stopping and LR scheduling as
 callbacks).  One mini-batch per domain per step is drawn (the multi-target
 setting: both domains are optimised simultaneously, Eq. 24); the default
-configuration — serial pipeline, per-step plans — replays the historical
-monolithic loop bit-for-bit under a fixed seed.
+configuration — serial pipeline, serial executor, full-graph forwards —
+replays the historical monolithic loop bit-for-bit under a fixed seed.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class CDRTrainer:
                 True,
                 num_hops=self.config.subgraph_num_hops,
                 fanout=self.config.subgraph_fanout,
-                scheduled=self.config.scheduled_subgraph_plans,
             )
         self.optimizer = Adam(
             model.parameters(),
@@ -83,7 +82,6 @@ class CDRTrainer:
                 grad_clip_norm=self.config.grad_clip_norm,
                 n_shards=self.config.n_shards,
                 traced=self.config.traced_steps,
-                shm_exchange=self.config.shm_exchange,
                 step_timeout=self.config.worker_step_timeout,
                 max_retries=self.config.worker_max_retries,
                 retry_backoff=self.config.worker_retry_backoff,

@@ -62,7 +62,6 @@ __all__ = [
     "SubgraphCache",
     "sample_khop_nodes",
     "induced_subgraph",
-    "induced_subgraph_scipy",
 ]
 
 
@@ -308,9 +307,7 @@ def induced_subgraph(
     The extraction is CSR-native: the included users' row slices are gathered
     straight off the parent adjacency, filtered by item membership with one
     binary search and assembled into the local CSR directly — no scipy
-    fancy-indexing pass and no COO round-trip (the PR-2 path is kept as
-    :func:`induced_subgraph_scipy` for reference and regression benches).
-    Because the parent CSR is canonical (sorted, duplicate-free) and the
+    fancy-indexing pass and no COO round-trip.  Because the parent CSR is canonical (sorted, duplicate-free) and the
     remap is monotone, the local structure is canonical by construction.
     """
     user_ids = np.asarray(user_ids, dtype=np.int64)
@@ -366,27 +363,6 @@ def induced_subgraph(
 
     indptr = np.concatenate(([0], np.cumsum(kept_per_user))).astype(np.int64)
     local = InteractionGraph.from_csr(user_ids.size, item_ids.size, indptr, local_items)
-    return DomainSubgraph(user_ids, item_ids, local)
-
-
-def induced_subgraph_scipy(
-    graph: InteractionGraph, user_ids: np.ndarray, item_ids: np.ndarray
-) -> DomainSubgraph:
-    """PR-2 reference extraction via scipy fancy indexing (slow path).
-
-    Kept for the equivalence tests and as the baseline of the plan-build
-    regression bench; production code uses :func:`induced_subgraph`.
-    """
-    user_ids = np.asarray(user_ids, dtype=np.int64)
-    item_ids = np.asarray(item_ids, dtype=np.int64)
-    if user_ids.size == 0:
-        return DomainSubgraph(user_ids, item_ids, None)
-    if item_ids.size == 0:
-        item_ids = np.zeros(1, dtype=np.int64)
-    sub = graph.adjacency()[user_ids][:, item_ids].tocoo()
-    local = InteractionGraph(
-        user_ids.size, item_ids.size, sub.row.astype(np.int64), sub.col.astype(np.int64)
-    )
     return DomainSubgraph(user_ids, item_ids, local)
 
 

@@ -345,3 +345,61 @@ class TestWriteAtomicity:
         assert not list(tmp_path.glob("*.tmp*"))
         survivor = load_checkpoint(first)
         assert survivor.meta["digest"] == reference.meta["digest"]
+
+
+# ----------------------------------------------------------------------
+# run directories written before two trainer fields were retired
+# ----------------------------------------------------------------------
+class TestRetiredConfigFields:
+    def test_old_run_directory_resumes_bit_identically(self, tmp_path, capsys):
+        """``scheduled_subgraph_plans`` and ``shm_exchange`` only chose between
+        numerically identical implementations and are gone from
+        ``TrainerConfig``.  A run directory whose ``run.json`` and checkpoint
+        fingerprint still name them must resume through ``repro resume``
+        exactly like the uninterrupted run."""
+        from repro.cli import main as cli_main
+
+        def train(directory):
+            rc = cli_main(
+                [
+                    "train",
+                    "--scale", "0.3",
+                    "--epochs", "2",
+                    "--embedding-dim", "8",
+                    "--negatives", "10",
+                    "--batch-size", "128",
+                    "--seed", "0",
+                    "--checkpoint-dir", str(directory),
+                    "--checkpoint-every", "1",
+                    "--checkpoint-keep", "0",
+                ]
+            )
+            assert rc == 0
+
+        train(tmp_path / "reference")
+        old = tmp_path / "old"
+        train(old)
+        first, last = list_checkpoints(old)
+        last.unlink()  # the old run stopped after its first epoch
+        retired = {"scheduled_subgraph_plans": False, "shm_exchange": True}
+        run_file = old / "run.json"
+        run = json.loads(run_file.read_text())
+        run["trainer"].update(retired)
+        run_file.write_text(json.dumps(run))
+        rewrite_meta(first, lambda meta: meta["config"].update(retired))
+
+        assert cli_main(["resume", "--checkpoint-dir", str(old)]) == 0
+        assert "resumed from" in capsys.readouterr().out
+
+        reference = load_checkpoint(latest_checkpoint(tmp_path / "reference"))
+        resumed = load_checkpoint(latest_checkpoint(old))
+        assert resumed.path.name == reference.path.name
+        for name in ("epoch_losses", "validation_metrics"):
+            assert resumed.meta["history"][name] == reference.meta["history"][name]
+        assert set(resumed.parameters) == set(reference.parameters)
+        for name, value in reference.parameters.items():
+            assert np.array_equal(resumed.parameters[name], value), name
+        for ours, theirs in zip(
+            resumed.adam_m + resumed.adam_v, reference.adam_m + reference.adam_v
+        ):
+            assert np.array_equal(ours, theirs)

@@ -4,8 +4,10 @@ The headline guarantees gated here:
 
 * **Fixed-seed equivalence** — under the float64 default engine dtype, the
   prefetched pipeline produces the same epoch losses and validation metrics
-  as the serial one, and scheduled subgraph plans the same as per-step
-  plans, for NMCDR and the graph baselines (GA-DTCDR, HeroGraph).
+  as the serial one, for NMCDR and the graph baselines (GA-DTCDR,
+  HeroGraph), and for NMCDR's sampled-subgraph training too; and sampled
+  training over the incremental plans replays a run whose every step
+  rebuilds its plan from scratch.
 * **Hook surface** — early stopping, LR scheduling and arbitrary callbacks
   plug into the loop without touching it, and a custom ``StepExecutor`` can
   replace the optimisation step wholesale.
@@ -26,7 +28,12 @@ from repro.core import (
     TrainerConfig,
     build_task,
 )
+from repro.core.subgraph_plan import (
+    build_subgraph_plan_from_pools,
+    sample_matching_pools,
+)
 from repro.data import load_scenario
+from repro.graph import SubgraphCache
 
 
 def small_task(scale=0.3, seed=13):
@@ -42,7 +49,7 @@ def build_for(name, task, seed=3):
     return build_model(name, task, embedding_dim=16, seed=seed)
 
 
-def fit_history(task, model_name, **config_overrides):
+def fit_history(task, model_name, prepare_model=None, **config_overrides):
     config = TrainerConfig(
         num_epochs=3,
         batch_size=128,
@@ -52,7 +59,54 @@ def fit_history(task, model_name, **config_overrides):
         **config_overrides,
     )
     trainer = CDRTrainer(build_for(model_name, task), task, config)
+    if prepare_model is not None:
+        prepare_model(trainer.model)
     return trainer.fit()
+
+
+def rebuild_plans_every_step(model):
+    """Per-step reference: swap the model's plan source for a from-scratch build.
+
+    NMCDR draws every pool and builds each step's plan with
+    :func:`build_subgraph_plan_from_pools` instead of the delta-updated
+    ``PlanSchedule``; a graph baseline extracts each step's k-hop subgraph
+    into a fresh cache, so no subgraph is reused across steps.  Returns the
+    list the reference appends each plan (or subgraph) to, so the caller can
+    check that it really ran.
+    """
+    built = []
+    if isinstance(model, NMCDR):
+        def per_step_plan(batches):
+            intra_pools, inter_pools = sample_matching_pools(
+                model.task, model.config, model._sampler
+            )
+            plan = build_subgraph_plan_from_pools(
+                model.task,
+                model.config,
+                batches,
+                intra_pools,
+                inter_pools,
+                model._subgraph_settings,
+                model._subgraph_caches,
+            )
+            built.append(plan)
+            return plan
+
+        model.plan_schedule.plan_for = per_step_plan
+    else:
+        def per_step_subgraph(cache_key, graph, seed_users, seed_items):
+            subgraph = SubgraphCache(1).get(
+                graph,
+                seed_users,
+                seed_items,
+                num_hops=model._subgraph_num_hops,
+                fanout=model._subgraph_fanout,
+            )
+            built.append(subgraph)
+            return subgraph
+
+        model._subgraph_for = per_step_subgraph
+    return built
 
 
 @pytest.mark.slow
@@ -70,25 +124,27 @@ class TestFixedSeedEquivalence:
     @pytest.mark.parametrize("model_name", ["NMCDR", "GA-DTCDR", "HeroGraph"])
     def test_scheduled_plans_match_per_step(self, model_name):
         task = small_task()
-        per_step = fit_history(task, model_name, sampled_subgraph_training=True)
-        scheduled = fit_history(
+        scheduled = fit_history(task, model_name, sampled_subgraph_training=True)
+        rebuilt = []
+        per_step = fit_history(
             task,
             model_name,
+            prepare_model=lambda model: rebuilt.append(rebuild_plans_every_step(model)),
             sampled_subgraph_training=True,
-            scheduled_subgraph_plans=True,
         )
+        (plans,) = rebuilt
+        assert plans, "the per-step reference built no plan"
         assert per_step.epoch_losses == scheduled.epoch_losses
         assert per_step.validation_metrics == scheduled.validation_metrics
 
     def test_all_modes_stacked_match_serial_sampled(self):
-        """Prefetch + scheduled plans together still replay the serial run."""
+        """Prefetch on top of scheduled sampled plans replays the serial run."""
         task = small_task()
         reference = fit_history(task, "NMCDR", sampled_subgraph_training=True)
         stacked = fit_history(
             task,
             "NMCDR",
             sampled_subgraph_training=True,
-            scheduled_subgraph_plans=True,
             prefetch_epochs=2,
         )
         assert reference.epoch_losses == stacked.epoch_losses

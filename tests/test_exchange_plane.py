@@ -7,13 +7,14 @@ generation-counted regrow with lazy worker re-attach, and table layouts.
 
 Executor level, the headline gates of the plane ride here:
 
-* **Transport equivalence** — pool-sharded (and plain sharded) training
-  over the plane is *bit-identical* to the pickled-pipe protocol, eager
-  and traced, under the float64 default dtype.
 * **Zero pickled data-plane bytes** — in steady state every data-plane
-  payload crosses shared memory; the pipes carry control headers only
-  (structural assert on the executor's comms counters, independent of
-  machine speed).
+  payload of pool-sharded (eager and traced) and plain sharded training
+  crosses shared memory; the pipes carry control headers only (structural
+  assert on the executor's comms counters, independent of machine speed).
+  Numeric equivalence of training over the plane is gated against the
+  serial executor in ``test_sharded_executor.py`` and
+  ``test_pool_sharded_executor.py``.
+* **Run-to-run reproducibility** over the plane.
 * **Leak-free teardown** — closing the executor (or dropping it) leaves
   no ``repro-xp-*`` segment behind in ``/dev/shm``.
 """
@@ -321,49 +322,31 @@ def fit_trainer(task, **config_overrides):
 
 class TestExecutorEquivalence:
     @pytest.mark.parametrize("traced", [False, True], ids=["eager", "traced"])
-    def test_pool_sharded_plane_bit_identical_to_pickled(self, task, traced):
-        shm, shm_history = fit_trainer(
-            task, pool_sharding=True, traced_steps=traced, shm_exchange=True
-        )
-        piped, piped_history = fit_trainer(
-            task, pool_sharding=True, traced_steps=traced, shm_exchange=False
-        )
-        assert shm_history.epoch_losses == piped_history.epoch_losses
-        assert shm_history.validation_metrics == piped_history.validation_metrics
-        shm_params = shm.model.state_dict()
-        piped_params = piped.model.state_dict()
-        for name in piped_params:
-            assert np.array_equal(shm_params[name], piped_params[name]), name
-
-        # Structural steady-state gate: with the plane on, every data-plane
-        # payload crossed shared memory; with it off, none did.
-        stats = shm._executor.comms_stats
+    def test_pool_sharded_plane_moves_no_pipe_data(self, task, traced):
+        trainer, _ = fit_trainer(task, pool_sharding=True, traced_steps=traced)
+        # Structural steady-state gate: every data-plane payload crossed
+        # shared memory, in every round of the pool-exchange protocol.
+        stats = trainer._executor.comms_stats
         assert stats.pipe_fallbacks == 0
         assert stats.fallback_data_bytes == 0
         assert stats.total("pipe_bytes") == 0
         assert stats.total("shm_bytes") > 0
         for round_name in ("dispatch", "gather", "broadcast", "loss", "scatter"):
             assert stats.rounds[round_name]["messages"] > 0, round_name
-        legacy = piped._executor.comms_stats
-        assert legacy.total("shm_bytes") == 0
-        assert legacy.total("pipe_bytes") > 0
 
-    def test_plain_sharded_plane_bit_identical_to_pickled(self, task):
-        shm, shm_history = fit_trainer(task, shm_exchange=True)
-        piped, piped_history = fit_trainer(task, shm_exchange=False)
-        assert shm_history.epoch_losses == piped_history.epoch_losses
-        assert shm_history.validation_metrics == piped_history.validation_metrics
-        stats = shm._executor.comms_stats
+    def test_plain_sharded_plane_moves_no_pipe_data(self, task):
+        trainer, _ = fit_trainer(task)
+        stats = trainer._executor.comms_stats
         assert stats.total("pipe_bytes") == 0
         assert stats.fallback_data_bytes == 0
 
     def test_run_to_run_bit_reproducible_over_plane(self, task):
-        _, first = fit_trainer(task, pool_sharding=True, shm_exchange=True)
-        _, second = fit_trainer(task, pool_sharding=True, shm_exchange=True)
+        _, first = fit_trainer(task, pool_sharding=True)
+        _, second = fit_trainer(task, pool_sharding=True)
         assert first.epoch_losses == second.epoch_losses
         assert first.validation_metrics == second.validation_metrics
 
     def test_executor_teardown_leaves_no_segments(self, task):
         before = set(shm_segments())
-        _, _ = fit_trainer(task, pool_sharding=True, shm_exchange=True)
+        _, _ = fit_trainer(task, pool_sharding=True)
         assert set(shm_segments()) <= before

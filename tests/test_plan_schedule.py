@@ -2,25 +2,55 @@
 
 The schedule's contract is *byte* equivalence: for the same sampler state and
 batch sequence, the incremental builder must return plans whose every index
-array matches :func:`build_subgraph_plan`'s, because the trainer-level
-bit-exactness guarantee (scheduled == per-step == full-graph at exactness
-depth) rides on it.  The extraction tests pin the CSR-native path — both its
-dense (edge-mask) and sparse (row-gather) regimes — to the scipy reference.
+array matches the from-scratch per-step builder's (the :func:`build_subgraph_plan`
+oracle below), because the trainer-level bit-exactness guarantee (sampled ==
+full-graph at exactness depth) rides on it.  Fixed cases pin the known edge
+configurations; a Hypothesis test draws loader seeds, batch sizes, step
+counts, pool sizes and fanouts.  The extraction tests pin the CSR-native
+path — both its dense (edge-mask) and sparse (row-gather) regimes — to the
+scipy reference extraction (:func:`induced_subgraph_scipy` below).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import NMCDR, NMCDRConfig, build_task
-from repro.core.subgraph_plan import build_subgraph_plan
+from repro.core.subgraph_plan import (
+    build_subgraph_plan_from_pools,
+    sample_matching_pools,
+)
 from repro.data import load_scenario
 from repro.data.dataloader import InteractionDataLoader
 from repro.graph import InteractionGraph, SubgraphCache
-from repro.graph.sampling import (
-    induced_subgraph,
-    induced_subgraph_scipy,
-    sample_khop_nodes,
-)
+from repro.graph.sampling import DomainSubgraph, induced_subgraph, sample_khop_nodes
+
+
+# ----------------------------------------------------------------------
+# reference implementations (test oracles)
+# ----------------------------------------------------------------------
+def build_subgraph_plan(task, config, batches, sampler, settings, caches):
+    """Per-step oracle: draw every pool, then build the plan from scratch."""
+    intra_pools, inter_pools = sample_matching_pools(task, config, sampler)
+    return build_subgraph_plan_from_pools(
+        task, config, batches, intra_pools, inter_pools, settings, caches
+    )
+
+
+def induced_subgraph_scipy(graph, user_ids, item_ids):
+    """Reference extraction via scipy fancy indexing and a COO round trip."""
+    user_ids = np.asarray(user_ids, dtype=np.int64)
+    item_ids = np.asarray(item_ids, dtype=np.int64)
+    if user_ids.size == 0:
+        return DomainSubgraph(user_ids, item_ids, None)
+    if item_ids.size == 0:
+        item_ids = np.zeros(1, dtype=np.int64)
+    sub = graph.adjacency()[user_ids][:, item_ids].tocoo()
+    local = InteractionGraph(
+        user_ids.size, item_ids.size, sub.row.astype(np.int64), sub.col.astype(np.int64)
+    )
+    return DomainSubgraph(user_ids, item_ids, local)
 
 
 def small_task(scale=0.3, seed=13):
@@ -30,13 +60,18 @@ def small_task(scale=0.3, seed=13):
     )
 
 
-def batch_stream(task, num_steps, batch_size=64):
+@pytest.fixture(scope="module")
+def task():
+    return small_task()
+
+
+def batch_stream(task, num_steps, batch_size=64, seed=5):
     iterators = [
         iter(
             InteractionDataLoader(
                 task.domain(key).split,
                 batch_size=batch_size,
-                rng=np.random.default_rng(index + 5),
+                rng=np.random.default_rng(index + seed),
             )
         )
         for index, key in enumerate(("a", "b"))
@@ -98,7 +133,7 @@ class TestScheduleEquivalence:
         per_step = NMCDR(task, config)
         scheduled = NMCDR(task, config)
         per_step.configure_subgraph_sampling(True)
-        scheduled.configure_subgraph_sampling(True, scheduled=True)
+        scheduled.configure_subgraph_sampling(True)
         for batches in batch_stream(task, 5):
             reference = build_subgraph_plan(
                 task,
@@ -117,12 +152,7 @@ class TestScheduleEquivalence:
         per_step = NMCDR(task, config)
         scheduled = NMCDR(task, config)
         per_step.configure_subgraph_sampling(True, num_hops=1, fanout=4)
-        scheduled.configure_subgraph_sampling(
-            True,
-            num_hops=1,
-            fanout=4,
-            scheduled=True,
-        )
+        scheduled.configure_subgraph_sampling(True, num_hops=1, fanout=4)
         for batches in batch_stream(task, 4):
             reference = build_subgraph_plan(
                 task,
@@ -145,12 +175,7 @@ class TestScheduleEquivalence:
         per_step = NMCDR(task, config)
         scheduled = NMCDR(task, config)
         per_step.configure_subgraph_sampling(True, num_hops=1, fanout=4)
-        scheduled.configure_subgraph_sampling(
-            True,
-            num_hops=1,
-            fanout=4,
-            scheduled=True,
-        )
+        scheduled.configure_subgraph_sampling(True, num_hops=1, fanout=4)
         for batches in batch_stream(task, 4):
             reference = build_subgraph_plan(
                 task,
@@ -166,6 +191,42 @@ class TestScheduleEquivalence:
         assert stats.delta_expansions == 3  # steps after the first reuse
         assert stats.full_expansions == 1
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        loader_seed=st.integers(0, 2**16),
+        batch_size=st.integers(1, 256),
+        num_steps=st.integers(1, 6),
+        max_matching_neighbors=st.one_of(st.none(), st.integers(1, 16)),
+        fanout=st.one_of(st.none(), st.integers(1, 8)),
+    )
+    def test_generated_streams_byte_identical_to_per_step(
+        self, task, loader_seed, batch_size, num_steps, max_matching_neighbors, fanout
+    ):
+        """Deterministic (``None``) and random pools, capped and uncapped
+        expansion, short and exhausted loaders: every step's plan matches
+        the from-scratch oracle byte for byte."""
+        config = NMCDRConfig(
+            embedding_dim=8, seed=3, max_matching_neighbors=max_matching_neighbors
+        )
+        per_step = NMCDR(task, config)
+        scheduled = NMCDR(task, config)
+        per_step.configure_subgraph_sampling(True, fanout=fanout)
+        scheduled.configure_subgraph_sampling(True, fanout=fanout)
+        stream = batch_stream(task, num_steps, batch_size=batch_size, seed=loader_seed)
+        for batches in stream:
+            if all(batch is None for batch in batches.values()):
+                break  # both loaders exhausted: the engine stops here too
+            reference = build_subgraph_plan(
+                task,
+                config,
+                batches,
+                per_step._sampler,
+                per_step._subgraph_settings,
+                per_step._subgraph_caches,
+            )
+            incremental = scheduled.plan_schedule.plan_for(batches)
+            assert_plans_identical(reference, incremental)
+
     def test_none_batch_domain_matches_per_step(self):
         """A ``None`` batch follows per-step semantics exactly (the partner
         closure may still activate the other domain)."""
@@ -175,7 +236,7 @@ class TestScheduleEquivalence:
         per_step = NMCDR(task, config)
         scheduled = NMCDR(task, config)
         per_step.configure_subgraph_sampling(True)
-        scheduled.configure_subgraph_sampling(True, scheduled=True)
+        scheduled.configure_subgraph_sampling(True)
         (batches,) = batch_stream(task, 1)
         step = {"a": batches["a"], "b": None}
         reference = build_subgraph_plan(
@@ -196,7 +257,7 @@ class TestScheduleReuse:
         task = small_task()
         config = NMCDRConfig(embedding_dim=16, seed=3, max_matching_neighbors=None)
         model = NMCDR(task, config)
-        model.configure_subgraph_sampling(True, scheduled=True)
+        model.configure_subgraph_sampling(True)
         schedule = model.plan_schedule
         for batches in batch_stream(task, 4):
             schedule.plan_for(batches)
@@ -211,7 +272,7 @@ class TestScheduleReuse:
         task = small_task()
         config = NMCDRConfig(embedding_dim=16, seed=3, max_matching_neighbors=8)
         model = NMCDR(task, config)
-        model.configure_subgraph_sampling(True, scheduled=True)
+        model.configure_subgraph_sampling(True)
         schedule = model.plan_schedule
         for batches in batch_stream(task, 3):
             schedule.plan_for(batches)
@@ -221,7 +282,7 @@ class TestScheduleReuse:
     def test_epoch_hook_counts_epochs(self):
         task = small_task()
         model = NMCDR(task, NMCDRConfig(embedding_dim=16, seed=3))
-        model.configure_subgraph_sampling(True, scheduled=True)
+        model.configure_subgraph_sampling(True)
         model.on_epoch_start(0)
         model.on_epoch_start(1)
         assert model.plan_schedule.stats.epochs == 2

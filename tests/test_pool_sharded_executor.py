@@ -557,7 +557,7 @@ class _DiesDuringEncode(NMCDR):
         exchange,
         shard_index,
         full_sizes=None,
-        publish=None,
+        publish,
     ):
         if shard_index == 1:
             os._exit(13)
@@ -582,7 +582,7 @@ class _HangsDuringEncode(NMCDR):
         exchange,
         shard_index,
         full_sizes=None,
-        publish=None,
+        publish,
     ):
         if shard_index == 1:
             time.sleep(600)

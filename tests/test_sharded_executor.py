@@ -177,9 +177,11 @@ class TestShardedEquivalence:
         assert serial.validation_metrics == sharded.validation_metrics
 
     def test_four_shards_match_the_sampled_serial_stream(self, task):
-        # Both sides build their step plans from the same pool machinery, so
-        # the decomposition is gated bit-for-bit against the serial sampled
-        # executor (which PR-2 gates against the full-graph forward).
+        # The serial side builds its plans through the incremental
+        # PlanSchedule, the workers from scratch around the same parent-drawn
+        # pools; the plans are byte-identical, so the decomposition is gated
+        # bit-for-bit against the serial sampled executor (which
+        # test_subgraph_sampling.py gates against the full-graph forward).
         serial = fit_history(task, "NMCDR", sampled_subgraph_training=True)
         sharded = fit_history(
             task,

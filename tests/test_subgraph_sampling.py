@@ -325,16 +325,7 @@ class TestNMCDREquivalence:
         )
         reps_full = model_full.forward_representations()
 
-        from repro.core import build_subgraph_plan
-
-        plan = build_subgraph_plan(
-            task,
-            config,
-            {"a": batch, "b": None},
-            model_sampled._sampler,
-            model_sampled._subgraph_settings,
-            model_sampled._subgraph_caches,
-        )
+        plan = model_sampled.plan_schedule.plan_for({"a": batch, "b": None})
         reps_sampled = model_sampled.forward_representations(plan)
         local = plan.domain("a").batch_users
         for stage in ("user_g2", "user_g3", "user_g4"):

@@ -83,7 +83,6 @@ class TestSerialBitIdentity:
         assert_bit_identical(
             task,
             sampled_subgraph_training=True,
-            scheduled_subgraph_plans=True,
             prefetch_epochs=1,
         )
 
