@@ -20,6 +20,7 @@ from ..graph import InteractionGraph
 from ..graph.message_passing import segment_softmax_attend
 from ..nn import Linear, Module
 from ..tensor import Tensor
+from ..tensor.ops import _check_segment_edges, _fresh_scratch, _segment_softmax
 
 __all__ = ["IntraNodeComplementing"]
 
@@ -83,16 +84,16 @@ class IntraNodeComplementing(Module):
         user_repr: Tensor,
         item_repr: Tensor,
     ) -> np.ndarray:
-        """Return the per-edge attention weights of Eq. 18 (analysis helper)."""
-        edge_users = graph.user_indices
-        edge_items = graph.item_indices
-        scores = np.einsum(
-            "ij,ij->i", user_repr.data[edge_users], item_repr.data[edge_items]
+        """Return the per-edge attention weights of Eq. 18 (analysis helper).
+
+        These are the weights :meth:`forward` aggregates with, bit for bit:
+        both come from the kernel's one softmax helper.
+        """
+        users, items = user_repr.data, item_repr.data
+        edge_users, edge_items = graph.user_indices, graph.item_indices
+        _check_segment_edges(
+            edge_users, edge_items, graph.num_users, users.shape[0], items.shape[0]
         )
-        max_per_user = np.full(graph.num_users, -np.inf)
-        np.maximum.at(max_per_user, edge_users, scores)
-        max_per_user[~np.isfinite(max_per_user)] = 0.0
-        exp_scores = np.exp(scores - max_per_user[edge_users])
-        denominator = np.zeros(graph.num_users)
-        np.add.at(denominator, edge_users, exp_scores)
-        return exp_scores / (denominator[edge_users] + 1e-12)
+        return _segment_softmax(
+            users, items, edge_users, edge_items, graph.num_users, 1e-12, _fresh_scratch
+        )[3]

@@ -38,9 +38,11 @@ incremental across the steps of an epoch:
 
 :class:`PoolShardedPlanner` applies the same incremental machinery inside a
 pool-sharded shard worker: the *owned slice* of the step's pool exchange
-plays the static closure's role (cached by content digest — the exchange
+plays the static closure's role (keyed by content digest — the exchange
 arrays arrive freshly copied out of the exchange plane every step, so
-identity keying would never hit), and only the micro-batch delta is
+identity keying would never hit).  As in :class:`PlanSchedule`, a step with
+a fresh owned slice is built from scratch, and the slice's expansion is
+computed on its first reuse; from then on only the micro-batch delta is
 expanded per step.
 
 Equivalence is structural, not approximate: for the same rng state and batch
@@ -312,15 +314,19 @@ class PoolShardedPlanner:
     """Incremental builder of pool-sharded per-step plans (worker-side).
 
     Mirrors :class:`PlanSchedule` for the pool-sharded execution mode: the
-    shard's *owned slice* of the pool exchange is the static part — its
-    k-hop expansion is cached and reused while the owned user set repeats
-    (deterministic pools repeat it every step; random pools rebuild it,
-    which is exactly the cost the per-step path would pay anyway) — and only
-    the micro-batch closure is expanded per step.  Valid under a fanout cap
-    too (the per-node reservoir makes capped expansion distribute over seed
-    unions).  For the same exchange and batches the produced plans are
-    byte-identical to :func:`~repro.core.subgraph_plan.build_pool_sharded_plan`
-    without ``node_sets`` (gated in ``tests/test_pool_sharded_executor.py``).
+    shard's *owned slice* of the pool exchange is the static part.  A step
+    whose owned slice differs from the last step's (every step under random
+    pools) is built from scratch by
+    :func:`~repro.core.subgraph_plan.build_pool_sharded_plan`, one expansion
+    of owned slice and micro-batch together, so a miss costs what the
+    from-scratch path would.  Once a step repeats the owned slice
+    (deterministic pools repeat it every step), its k-hop expansion is
+    computed, cached and reused, and only the micro-batch closure is
+    expanded per step.  Valid under a fanout cap too (the per-node
+    reservoir makes capped expansion distribute over seed unions).  For the
+    same exchange and batches the produced plans are byte-identical to
+    :func:`~repro.core.subgraph_plan.build_pool_sharded_plan` without
+    ``node_sets`` (gated in ``tests/test_pool_sharded_executor.py``).
     """
 
     def __init__(
@@ -338,26 +344,31 @@ class PoolShardedPlanner:
         self.shard_index = int(shard_index)
         self.stats = PlanScheduleStats()
         self._static_digest: Optional[Tuple[bytes, ...]] = None
-        self._static_nodes: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._static_nodes: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
 
     def _static_node_sets(
         self, owned: Dict[str, np.ndarray]
-    ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    ) -> Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]]:
+        """The owned slice's cached expansion if this step repeats the slice."""
         digest = tuple(owned[key].tobytes() for key in DOMAIN_KEYS)
-        if digest == self._static_digest:
-            self.stats.static_closure_reuses += 1
-            return self._static_nodes
-        self._static_nodes = {
-            key: sample_khop_nodes(
-                self.task.domain(key).train_graph,
-                owned[key],
-                _EMPTY,
-                num_hops=self.settings.num_hops,
-                fanout=self.settings.fanout,
-            )
-            for key in DOMAIN_KEYS
-        }
-        self._static_digest = digest
+        if digest != self._static_digest:
+            self._static_digest = digest
+            self._static_nodes = None
+            return None
+        self.stats.static_closure_reuses += 1
+        if self._static_nodes is None:
+            # First reuse: the slice is stable, so its one-off expansion now
+            # pays for itself every later step.
+            self._static_nodes = {
+                key: sample_khop_nodes(
+                    self.task.domain(key).train_graph,
+                    owned[key],
+                    _EMPTY,
+                    num_hops=self.settings.num_hops,
+                    fanout=self.settings.fanout,
+                )
+                for key in DOMAIN_KEYS
+            }
         return self._static_nodes
 
     def plan_for(
@@ -371,7 +382,21 @@ class PoolShardedPlanner:
         owned = {
             key: exchange.owned_users(key, self.shard_index) for key in DOMAIN_KEYS
         }
+        self.stats.plans_built += 1
         static_nodes = self._static_node_sets(owned)
+        if static_nodes is None:
+            self.stats.full_expansions += 1
+            return build_pool_sharded_plan(
+                self.task,
+                self.config,
+                batches,
+                intra_pools,
+                inter_pools,
+                exchange,
+                self.shard_index,
+                self.settings,
+                self.caches,
+            )
 
         batch_users, batch_items = batch_index_arrays(batches)
         batch_closed = close_seed_users(
@@ -408,7 +433,6 @@ class PoolShardedPlanner:
                 merged_items = static_items
             node_sets[key] = (merged_users, merged_items)
         self.stats.delta_expansions += 1
-        self.stats.plans_built += 1
 
         return build_pool_sharded_plan(
             self.task,

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..tensor import Tensor, as_tensor
-from ..tensor.ops import _scatter_add_2d
+from ..tensor.ops import _fresh_scratch, _segment_attend_backward, _segment_attend_forward
 
 __all__ = ["spmm", "segment_mean", "segment_softmax_attend"]
 
@@ -82,57 +82,33 @@ def segment_softmax_attend(
 
         out[q] = sum_e att_e * values[edge_keys[e]]
 
-    The unfused formulation needs ~a dozen graph nodes with edge-sized
-    intermediates (three ``(E, D)`` gathers, exp/div chains and two sparse
-    products); this kernel is one node with a hand-derived backward, which
-    is where the node-complementing module spends most of its time.
+    The edges must be sorted by segment (``edge_queries`` non-decreasing,
+    as the user-major edges of every :class:`InteractionGraph` are);
+    anything else raises ``ValueError``.  Sorted edges give the list a row
+    pointer, so the aggregation and the three gradient scatters run as
+    in-place sparse mat-vecs and the scores as row dots over two reused
+    256 KiB chunk buffers: no ``(E, D)`` gather or product is ever formed.
+    One graph node with a hand-derived backward; the float32 engine
+    accumulates in float64 and rounds once.
     """
     queries, keys, values = as_tensor(queries), as_tensor(keys), as_tensor(values)
-    edge_queries = np.asarray(edge_queries, dtype=np.int64)
-    edge_keys = np.asarray(edge_keys, dtype=np.int64)
-    if edge_queries.shape != edge_keys.shape or edge_queries.ndim != 1:
-        raise ValueError("edge_queries and edge_keys must be equal-length 1-D arrays")
-
-    query_rows = queries.data[edge_queries]
-    key_rows = keys.data[edge_keys]
-    scores = np.einsum("ed,ed->e", query_rows, key_rows)
-
-    max_per_segment = np.full(num_segments, -np.inf)
-    np.maximum.at(max_per_segment, edge_queries, scores)
-    max_per_segment[~np.isfinite(max_per_segment)] = 0.0
-    shifted = scores - max_per_segment[edge_queries]
-    clip_mask = (shifted >= -60.0) & (shifted <= 60.0)
-    exp_scores = np.exp(np.clip(shifted, -60.0, 60.0))
-
-    denominator = np.bincount(edge_queries, weights=exp_scores, minlength=num_segments)
-    inv_denominator = 1.0 / (denominator[edge_queries] + eps)
-    attention = exp_scores * inv_denominator
-
-    value_rows = values.data[edge_keys]
-    out_data = np.zeros((num_segments, values.data.shape[1]), dtype=values.data.dtype)
-    _scatter_add_2d(out_data, edge_queries, attention[:, None] * value_rows)
+    out_data = np.empty((int(num_segments), values.data.shape[1]), dtype=values.data.dtype)
+    state = _segment_attend_forward(
+        queries.data,
+        keys.data,
+        values.data,
+        np.ascontiguousarray(edge_queries, dtype=np.int64),
+        np.ascontiguousarray(edge_keys, dtype=np.int64),
+        int(num_segments),
+        eps,
+        out_data,
+        _fresh_scratch,
+    )
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad)
-        grad_rows = grad[edge_queries]
-        if values.requires_grad:
-            buffer = values._ensure_grad_buffer()
-            _scatter_add_2d(buffer, edge_keys, attention[:, None] * grad_rows)
-        if not (queries.requires_grad or keys.requires_grad):
-            return
-        # Softmax backward with the ``+ eps`` denominator kept exact:
-        # d att_e / d z_e' = δ_ee' / (den + eps) - z_e / (den + eps)^2.
-        d_attention = np.einsum("ed,ed->e", value_rows, grad_rows)
-        weighted = np.bincount(
-            edge_queries, weights=d_attention * exp_scores, minlength=num_segments
-        )
-        d_exp = (d_attention - weighted[edge_queries] * inv_denominator) * inv_denominator
-        d_scores = d_exp * exp_scores * clip_mask
-        if queries.requires_grad:
-            buffer = queries._ensure_grad_buffer()
-            _scatter_add_2d(buffer, edge_queries, d_scores[:, None] * key_rows)
-        if keys.requires_grad:
-            buffer = keys._ensure_grad_buffer()
-            _scatter_add_2d(buffer, edge_keys, d_scores[:, None] * query_rows)
+        grad_values = values._ensure_grad_buffer() if values.requires_grad else None
+        grad_queries = queries._ensure_grad_buffer() if queries.requires_grad else None
+        grad_keys = keys._ensure_grad_buffer() if keys.requires_grad else None
+        _segment_attend_backward(state, grad, grad_queries, grad_keys, grad_values, _fresh_scratch)
 
     return Tensor._build(out_data, (queries, keys, values), backward, "segment_softmax_attend")

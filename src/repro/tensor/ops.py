@@ -9,7 +9,7 @@ complementing attention and every baseline model.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,42 +61,47 @@ __all__ = [
 
 _EPS = 1e-12
 
-def _load_csc_matvecs():
-    """Import scipy's private CSC mat-vec kernel and self-check it once.
+def _load_matvecs(name: str):
+    """Import one of scipy's private sparse mat-vec kernels and self-check it.
 
-    ``scipy.sparse._sparsetools`` makes no stability promise, so the fast
-    scatter path is only enabled if the kernel reproduces a known
-    scatter-add on a tiny example; any import error, signature change or
-    wrong result falls back to the public-API path.
+    ``scipy.sparse._sparsetools`` makes no stability promise, so a kernel is
+    only used if it reproduces, on a tiny example and for both index widths,
+    what numpy computes for the same product: each weight-times-dense-row
+    product rounded on its own and added into its output row in stored
+    order.  One output element of the example adds ``(1 + 2**-30)**2`` to
+    ``-1``, where a fused multiply-add would round differently.  Any import
+    error, signature change or wrong result returns ``None``, and callers
+    fall back to the public scipy API.
     """
     try:  # pragma: no cover - exercised implicitly at import
-        from scipy.sparse._sparsetools import csc_matvecs
-    except ImportError:  # pragma: no cover - older/newer scipy layouts
+        from scipy.sparse import _sparsetools
+
+        kernel = getattr(_sparsetools, name)
+    except (ImportError, AttributeError):  # pragma: no cover - other layouts
         return None
-    try:
-        out = np.zeros((3, 2))
-        indices = np.array([2, 0, 2], dtype=np.int64)
-        updates = np.arange(6, dtype=np.float64).reshape(3, 2)
-        csc_matvecs(
-            3,
-            3,
-            2,
-            np.arange(4, dtype=np.int64),
-            indices,
-            np.ones(3),
-            updates.ravel(),
-            out.ravel(),
-        )
-        expected = np.zeros((3, 2))
-        np.add.at(expected, indices, updates)
-        if not np.array_equal(out, expected):
+    tiny = 1.0 + 2.0**-30
+    dense = np.array([[-1.0, 0.5], [tiny, 2.0], [0.25, -3.0], [7.0, 1.0]])
+    weights = np.array([1.0, tiny, tiny, -2.0, 0.5])
+    # Four compressed slots (slot 2 empty) over four rows.
+    slots = np.array([0, 0, 1, 1, 3])
+    others = np.array([0, 1, 0, 3, 2])
+    rows, cols = (slots, others) if name == "csr_matvecs" else (others, slots)
+    expected = np.zeros((4, 2))
+    np.add.at(expected, rows, weights[:, None] * dense[cols])
+    for index_dtype in (np.int32, np.int64):
+        indptr = np.array([0, 2, 4, 4, 5], dtype=index_dtype)
+        out = np.zeros((4, 2))
+        try:
+            kernel(4, 4, 2, indptr, others.astype(index_dtype), weights, dense.ravel(), out.ravel())
+        except Exception:  # pragma: no cover - changed private signature
             return None
-    except Exception:  # pragma: no cover - changed private signature
-        return None
-    return csc_matvecs
+        if not np.array_equal(out, expected):  # pragma: no cover
+            return None
+    return kernel
 
 
-_csc_matvecs = _load_csc_matvecs()
+_csc_matvecs = _load_matvecs("csc_matvecs")
+_csr_matvecs = _load_matvecs("csr_matvecs")
 
 
 def _scatter_add_2d(buffer: np.ndarray, indices: np.ndarray, grad: np.ndarray) -> None:
@@ -140,6 +145,264 @@ def _scatter_add_2d(buffer: np.ndarray, indices: np.ndarray, grad: np.ndarray) -
         buffer += operator @ grad
     else:
         np.add.at(buffer, indices, grad)
+
+
+# ----------------------------------------------------------------------
+# segment softmax attention (Eq. 18-19) over a segment-major edge list
+# ----------------------------------------------------------------------
+#: Elements per chunk of the per-edge row dots: 256 KiB of float64 per
+#: gather buffer, whatever the edge count.
+_ROW_DOT_CHUNK = 1 << 15
+
+#: ``scratch(tag, shape, dtype)`` hands a kernel an uninitialised buffer for
+#: one of its temporaries: a fresh array in eager mode, a persistent arena
+#: slab per tag in traced replay.
+Scratch = Callable[[str, Tuple[int, ...], np.dtype], np.ndarray]
+
+
+def _fresh_scratch(tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    return np.empty(shape, dtype=dtype)
+
+
+class _AttendState(NamedTuple):
+    """What the backward of the segment attention reads from its forward."""
+
+    queries: np.ndarray
+    keys: np.ndarray
+    values: np.ndarray
+    edge_queries: np.ndarray
+    edge_keys: np.ndarray
+    indptr: np.ndarray
+    exp_scores: np.ndarray
+    inv_denominator: np.ndarray
+    clip_mask: np.ndarray
+    attention: np.ndarray
+
+
+def _check_segment_edges(
+    edge_queries: np.ndarray,
+    edge_keys: np.ndarray,
+    num_segments: int,
+    query_rows: int,
+    key_rows: int,
+) -> None:
+    """Validate the edge list the segment attention kernels index blindly."""
+    if edge_queries.shape != edge_keys.shape or edge_queries.ndim != 1:
+        raise ValueError("edge_queries and edge_keys must be equal-length 1-D arrays")
+    if edge_queries.size == 0:
+        return
+    if np.any(edge_queries[1:] < edge_queries[:-1]):
+        raise ValueError(
+            "segment_softmax_attend needs the edge list sorted by segment: "
+            "edge_queries must be non-decreasing (InteractionGraph edges are "
+            "user-major, so graph.user_indices qualifies)"
+        )
+    if edge_queries[0] < 0 or edge_queries[-1] >= min(num_segments, query_rows):
+        raise ValueError("edge_queries must index both a segment and a query row")
+    if edge_keys.min() < 0 or edge_keys.max() >= key_rows:
+        raise ValueError("edge_keys must index a row of the keys and of the values")
+
+
+def _row_pointer(edge_rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """CSR row pointer of an edge list sorted by ``edge_rows``."""
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edge_rows, minlength=num_rows), out=indptr[1:])
+    return indptr
+
+
+def _segment_sums(edge_rows: np.ndarray, weights: np.ndarray, num_rows: int) -> np.ndarray:
+    """Per-row sums of edge weights, added in edge order (float64 even for
+    an empty edge list, where ``np.bincount`` returns int64)."""
+    return np.bincount(edge_rows, weights=weights, minlength=num_rows).astype(
+        np.float64, copy=False
+    )
+
+
+def _row_dots(
+    left: np.ndarray,
+    left_rows: np.ndarray,
+    right: np.ndarray,
+    right_rows: np.ndarray,
+    out: np.ndarray,
+    scratch: Scratch,
+) -> None:
+    """``out[e] = left[left_rows[e]] · right[right_rows[e]]``, chunk by chunk.
+
+    Each chunk gathers its rows into two reused buffers and reduces them with
+    the ``einsum`` a full ``(E, D)`` gather would use.  The per-row reduction
+    does not depend on how many rows share a call, so the dots are
+    bit-identical to the unchunked product.
+    """
+    count, dim = out.shape[0], left.shape[1]
+    step = _ROW_DOT_CHUNK // (dim or 1) or 1
+    rows = min(step, count)
+    left_chunk = scratch("dot_left", (rows, dim), left.dtype)
+    right_chunk = scratch("dot_right", (rows, dim), right.dtype)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        size = stop - start
+        a, b = left_chunk[:size], right_chunk[:size]
+        np.take(left, left_rows[start:stop], axis=0, out=a, mode="clip")
+        np.take(right, right_rows[start:stop], axis=0, out=b, mode="clip")
+        np.einsum("ed,ed->e", a, b, out=out[start:stop])
+
+
+def _sparse_accumulate(
+    target: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    dense: np.ndarray,
+    scratch: Scratch,
+    transpose: bool = False,
+) -> None:
+    """``target += A @ dense``, or ``A.T @ dense`` when ``transpose``.
+
+    ``A`` is the CSR matrix ``(weights, indices, indptr)``.  Every output
+    row adds the rounded products ``weights[e] * dense[row]`` in stored
+    order, in float64: the arithmetic of scattering edge-wise products, with
+    no ``(E, D)`` product ever formed.  A target that is not C-contiguous
+    float64 (the float32 engine) receives the float64 sum through one
+    ``+=``.  Without scipy's private kernels the public sparse product runs
+    instead; it sums into a zeroed temporary first, so on a non-zero
+    float64 target it may differ from the kernel path in the last bit.
+    """
+    if dense.dtype != np.float64 or not dense.flags.c_contiguous:
+        dense64 = scratch("dense64", dense.shape, np.float64)
+        np.copyto(dense64, dense)
+        dense = dense64
+    direct = target.dtype == np.float64 and target.flags.c_contiguous
+    acc = target if direct else scratch("acc64", target.shape, np.float64)
+    if not direct:
+        acc.fill(0.0)
+    slots = indptr.shape[0] - 1
+    shape = (target.shape[0], slots) if transpose else (slots, dense.shape[0])
+    kernel = _csc_matvecs if transpose else _csr_matvecs
+    if kernel is not None:
+        rows, cols = shape
+        kernel(rows, cols, dense.shape[1], indptr, indices, weights, dense.ravel(), acc.ravel())
+    else:
+        layout = sp.csc_matrix if transpose else sp.csr_matrix
+        acc += layout((weights, indices, indptr), shape=shape) @ dense
+    if not direct:
+        target += acc
+
+
+def _segment_softmax(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    edge_queries: np.ndarray,
+    edge_keys: np.ndarray,
+    num_segments: int,
+    eps: float,
+    scratch: Scratch,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 18 per edge: ``(exp_scores, inv_denominator, clip_mask, attention)``.
+
+    Scores ``queries[q] · keys[k]`` are shifted by their segment's maximum
+    (a constant for the backward), clipped to ±60, exponentiated and
+    multiplied by ``1 / (denominator + eps)``.  This is the only
+    formulation of the weights: the kernel and
+    :meth:`repro.core.IntraNodeComplementing.virtual_link_strengths` both
+    call it.
+    """
+    count = edge_queries.shape[0]
+    scores = scratch("scores", (count,), np.result_type(queries, keys))
+    _row_dots(queries, edge_queries, keys, edge_keys, scores, scratch)
+    max_per_segment = scratch("segment_max", (num_segments,), np.float64)
+    max_per_segment.fill(-np.inf)
+    np.maximum.at(max_per_segment, edge_queries, scores)
+    max_per_segment[~np.isfinite(max_per_segment)] = 0.0
+    # ``exp_scores`` carries the shifted -> clipped -> exponentiated chain.
+    exp_scores = scratch("exp_scores", (count,), np.float64)
+    np.take(max_per_segment, edge_queries, out=exp_scores, mode="clip")
+    np.subtract(scores, exp_scores, out=exp_scores)
+    clip_mask = scratch("clip_mask", (count,), np.bool_)
+    np.greater_equal(exp_scores, -60.0, out=clip_mask)
+    clip_mask &= np.less_equal(exp_scores, 60.0, out=scratch("clip_high", (count,), np.bool_))
+    np.clip(exp_scores, -60.0, 60.0, out=exp_scores)
+    np.exp(exp_scores, out=exp_scores)
+    denominator = _segment_sums(edge_queries, exp_scores, num_segments)
+    inv_denominator = scratch("inv_denominator", (count,), np.float64)
+    np.take(denominator, edge_queries, out=inv_denominator, mode="clip")
+    np.add(inv_denominator, eps, out=inv_denominator)
+    np.divide(1.0, inv_denominator, out=inv_denominator)
+    attention = scratch("attention", (count,), np.float64)
+    np.multiply(exp_scores, inv_denominator, out=attention)
+    return exp_scores, inv_denominator, clip_mask, attention
+
+
+def _segment_attend_forward(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    edge_queries: np.ndarray,
+    edge_keys: np.ndarray,
+    num_segments: int,
+    eps: float,
+    out: np.ndarray,
+    scratch: Scratch,
+) -> _AttendState:
+    """Eq. 18-19 into ``out`` (overwritten); returns the backward's state.
+
+    ``out[q] = sum_e attention_e * values[edge_keys[e]]`` runs as one CSR
+    mat-vec over the row pointer of the segment-sorted edges, adding each
+    row's products in edge order, as a scatter of the edge-wise products
+    would.  Shared by the eager op and its traced replay.
+    """
+    key_rows = min(keys.shape[0], values.shape[0])
+    _check_segment_edges(edge_queries, edge_keys, num_segments, queries.shape[0], key_rows)
+    softmax = _segment_softmax(queries, keys, edge_queries, edge_keys, num_segments, eps, scratch)
+    indptr = _row_pointer(edge_queries, num_segments)
+    out.fill(0.0)
+    _sparse_accumulate(out, indptr, edge_keys, softmax[3], values, scratch)
+    return _AttendState(queries, keys, values, edge_queries, edge_keys, indptr, *softmax)
+
+
+def _segment_attend_backward(
+    state: _AttendState,
+    grad: np.ndarray,
+    grad_queries: Optional[np.ndarray],
+    grad_keys: Optional[np.ndarray],
+    grad_values: Optional[np.ndarray],
+    scratch: Scratch,
+) -> None:
+    """Accumulate the attention's gradients into the given buffers.
+
+    A ``None`` buffer skips that input.  The softmax backward keeps the
+    ``+ eps`` denominator exact:
+    ``d att_e / d z_e' = δ_ee' / (den + eps) - z_e / (den + eps)^2``.
+    """
+    grad = np.asarray(grad)
+    edge_queries, edge_keys, indptr = state.edge_queries, state.edge_keys, state.indptr
+    if grad_values is not None:
+        _sparse_accumulate(
+            grad_values, indptr, edge_keys, state.attention, grad, scratch, transpose=True
+        )
+    if grad_queries is None and grad_keys is None:
+        return
+    count = edge_queries.shape[0]
+    d_attention = scratch("d_attention", (count,), np.result_type(state.values, grad))
+    _row_dots(state.values, edge_keys, grad, edge_queries, d_attention, scratch)
+    # ``d_scores`` carries the weighted-sum -> d_exp -> clipped-score chain.
+    d_scores = scratch("d_scores", (count,), np.float64)
+    np.multiply(d_attention, state.exp_scores, out=d_scores)
+    weighted = _segment_sums(edge_queries, d_scores, indptr.shape[0] - 1)
+    np.take(weighted, edge_queries, out=d_scores, mode="clip")
+    np.multiply(d_scores, state.inv_denominator, out=d_scores)
+    np.subtract(d_attention, d_scores, out=d_scores)
+    np.multiply(d_scores, state.inv_denominator, out=d_scores)
+    np.multiply(d_scores, state.exp_scores, out=d_scores)
+    np.multiply(d_scores, state.clip_mask, out=d_scores)
+    query_rows = state.queries.shape[0]
+    if query_rows != indptr.shape[0] - 1:
+        indptr = _row_pointer(edge_queries, query_rows)
+    if grad_queries is not None:
+        _sparse_accumulate(grad_queries, indptr, edge_keys, d_scores, state.keys, scratch)
+    if grad_keys is not None:
+        _sparse_accumulate(
+            grad_keys, indptr, edge_keys, d_scores, state.queries, scratch, transpose=True
+        )
 
 
 # ----------------------------------------------------------------------

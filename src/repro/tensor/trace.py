@@ -41,10 +41,16 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import engine
-from .ops import _csc_matvecs, _scatter_add_2d, _sigmoid_forward
+from .ops import (
+    _csc_matvecs,
+    _csr_matvecs,
+    _scatter_add_2d,
+    _segment_attend_backward,
+    _segment_attend_forward,
+    _sigmoid_forward,
+)
 from .tensor import Tensor, _unbroadcast
 
 __all__ = [
@@ -98,40 +104,6 @@ def pinned_output(provider):
         yield
     finally:
         _pending_pin = previous
-
-
-def _load_csr_matvecs():
-    """Import scipy's private CSR mat-vec kernel and self-check it once.
-
-    Scipy's own ``csr @ dense`` product calls this kernel over a zero-filled
-    output, so accumulating into a zero-filled arena slab through it is
-    bit-identical to the eager ``matrix @ features`` while skipping the
-    per-call result allocation.  No stability promise exists for
-    ``_sparsetools``, so the path is only enabled when the kernel reproduces
-    a known product on a tiny example.
-    """
-    try:  # pragma: no cover - exercised implicitly at import
-        from scipy.sparse._sparsetools import csr_matvecs
-    except ImportError:  # pragma: no cover - older/newer scipy layouts
-        return None
-    try:
-        matrix = sp.csr_matrix(
-            (np.array([1.5, -2.0, 0.25]), np.array([0, 2, 1]), np.array([0, 2, 2, 3])),
-            shape=(3, 3),
-        )
-        dense = np.arange(6, dtype=np.float64).reshape(3, 2)
-        out = np.zeros((3, 2))
-        csr_matvecs(
-            3, 3, 2, matrix.indptr, matrix.indices, matrix.data, dense.ravel(), out.ravel()
-        )
-        if not np.array_equal(out, matrix @ dense):
-            return None
-    except Exception:  # pragma: no cover - changed private signature
-        return None
-    return csr_matvecs
-
-
-_csr_matvecs = _load_csr_matvecs()
 
 
 # ----------------------------------------------------------------------
@@ -1394,126 +1366,34 @@ def _b_spmm(step, grad):
 
 
 def _f_segment_softmax_attend(step):
-    # Every edge-sized intermediate lives in a persistent scratch slab and is
-    # produced with ``out=`` — bitwise the same arithmetic as the eager
-    # kernel (same ufuncs, same dtype promotion, same order) but with zero
-    # large allocations per replay.
+    # The eager op's own array kernel, with its edge-sized temporaries and
+    # chunk buffers drawn from persistent scratch slabs.
     args, kwargs = step.args, step.kwargs
     queries, keys, values = args[0], args[1], args[2]
-    edge_queries = np.asarray(args[3], dtype=np.int64)
-    edge_keys = np.asarray(args[4], dtype=np.int64)
-    num_segments = _arg(args, kwargs, 5, "num_segments")
-    eps = _arg(args, kwargs, 6, "eps", 1e-12)
-    q_data, k_data, v_data = _tdata(queries), _tdata(keys), _tdata(values)
-
-    count = edge_queries.shape[0]
-    query_rows = np.take(
-        q_data, edge_queries, axis=0,
-        out=step.buffer("qr", (count, q_data.shape[1]), q_data.dtype), mode="clip",
-    )
-    key_rows = np.take(
-        k_data, edge_keys, axis=0,
-        out=step.buffer("kr", (count, k_data.shape[1]), k_data.dtype), mode="clip",
-    )
-    scores = np.einsum(
-        "ed,ed->e", query_rows, key_rows,
-        out=step.buffer("sc", (count,), np.result_type(q_data, k_data)),
-    )
-    max_per_segment = step.buffer("mx", (num_segments,), np.float64)
-    max_per_segment.fill(-np.inf)
-    np.maximum.at(max_per_segment, edge_queries, scores)
-    max_per_segment[~np.isfinite(max_per_segment)] = 0.0
-    # ``exp_scores`` carries the shifted → clipped → exponentiated chain.
-    exp_scores = np.take(
-        max_per_segment, edge_queries,
-        out=step.buffer("ex", (count,), np.float64), mode="clip",
-    )
-    np.subtract(scores, exp_scores, out=exp_scores)
-    clip_mask = np.greater_equal(
-        exp_scores, -60.0, out=step.buffer("cl", (count,), np.bool_)
-    )
-    clip_hi = np.less_equal(
-        exp_scores, 60.0, out=step.buffer("ch", (count,), np.bool_)
-    )
-    np.logical_and(clip_mask, clip_hi, out=clip_mask)
-    np.clip(exp_scores, -60.0, 60.0, out=exp_scores)
-    np.exp(exp_scores, out=exp_scores)
-    denominator = np.bincount(edge_queries, weights=exp_scores, minlength=num_segments)
-    inv_denominator = np.take(
-        denominator, edge_queries,
-        out=step.buffer("inv", (count,), np.float64), mode="clip",
-    )
-    np.add(inv_denominator, eps, out=inv_denominator)
-    np.divide(1.0, inv_denominator, out=inv_denominator)
-    attention = np.multiply(
-        exp_scores, inv_denominator,
-        out=step.buffer("att", (count,), np.float64),
-    )
-    value_rows = np.take(
-        v_data, edge_keys, axis=0,
-        out=step.buffer("vr", (count, v_data.shape[1]), v_data.dtype), mode="clip",
-    )
-    product = np.multiply(
-        value_rows, attention[:, None],
-        out=step.buffer("pr", value_rows.shape, np.result_type(attention, value_rows)),
-    )
+    num_segments = int(_arg(args, kwargs, 5, "num_segments"))
+    v_data = _tdata(values)
     out = step.slab((num_segments, v_data.shape[1]), v_data.dtype)
-    out.fill(0.0)
-    _scatter_add_2d(out, edge_queries, product)
-    step.saved = (
-        queries, keys, values, edge_queries, edge_keys,
-        query_rows, key_rows, value_rows, exp_scores, inv_denominator,
-        attention, clip_mask, num_segments,
+    state = _segment_attend_forward(
+        _tdata(queries),
+        _tdata(keys),
+        v_data,
+        np.ascontiguousarray(_arg(args, kwargs, 3, "edge_queries"), dtype=np.int64),
+        np.ascontiguousarray(_arg(args, kwargs, 4, "edge_keys"), dtype=np.int64),
+        num_segments,
+        _arg(args, kwargs, 6, "eps", 1e-12),
+        out,
+        step.buffer,
     )
+    step.saved = (queries, keys, values, state)
     return _finish(step, out)
 
 
 def _b_segment_softmax_attend(step, grad):
-    (queries, keys, values, edge_queries, edge_keys, query_rows, key_rows,
-     value_rows, exp_scores, inv_denominator, attention, clip_mask,
-     num_segments) = step.saved
-    grad = np.asarray(grad)
-    count = edge_queries.shape[0]
-    grad_rows = np.take(
-        grad, edge_queries, axis=0,
-        out=step.buffer("gr", (count, grad.shape[1]), grad.dtype), mode="clip",
-    )
-    if _wants_grad(values):
-        product = np.multiply(
-            grad_rows, attention[:, None],
-            out=step.buffer("pr", grad_rows.shape, np.result_type(attention, grad_rows)),
-        )
-        _scatter_add_2d(_grad_buffer(values), edge_keys, product)
-    if not (_wants_grad(queries) or _wants_grad(keys)):
-        return
-    d_attention = np.einsum(
-        "ed,ed->e", value_rows, grad_rows,
-        out=step.buffer("da", (count,), np.result_type(value_rows, grad_rows)),
-    )
-    # ``d_scores`` carries weighted-sum → d_exp → clipped-score chain; the
-    # sequence of ufuncs mirrors the eager expression term for term.
-    d_scores = np.multiply(
-        d_attention, exp_scores, out=step.buffer("ds", (count,), np.float64)
-    )
-    weighted = np.bincount(edge_queries, weights=d_scores, minlength=num_segments)
-    np.take(weighted, edge_queries, out=d_scores, mode="clip")
-    np.multiply(d_scores, inv_denominator, out=d_scores)
-    np.subtract(d_attention, d_scores, out=d_scores)
-    np.multiply(d_scores, inv_denominator, out=d_scores)
-    np.multiply(d_scores, exp_scores, out=d_scores)
-    np.multiply(d_scores, clip_mask, out=d_scores)
-    if _wants_grad(queries):
-        product = np.multiply(
-            key_rows, d_scores[:, None],
-            out=step.buffer("pr", key_rows.shape, np.result_type(d_scores, key_rows)),
-        )
-        _scatter_add_2d(_grad_buffer(queries), edge_queries, product)
-    if _wants_grad(keys):
-        product = np.multiply(
-            query_rows, d_scores[:, None],
-            out=step.buffer("pr", query_rows.shape, np.result_type(d_scores, query_rows)),
-        )
-        _scatter_add_2d(_grad_buffer(keys), edge_keys, product)
+    queries, keys, values, state = step.saved
+    grad_values = _grad_buffer(values) if _wants_grad(values) else None
+    grad_queries = _grad_buffer(queries) if _wants_grad(queries) else None
+    grad_keys = _grad_buffer(keys) if _wants_grad(keys) else None
+    _segment_attend_backward(state, grad, grad_queries, grad_keys, grad_values, step.buffer)
 
 
 builtins_sum = sum  # the local reductions shadow nothing here, but be explicit

@@ -3,15 +3,32 @@
 The heavier fixtures (a small synthetic scenario, its task bundle and a
 briefly trained NMCDR model) are session-scoped so the many tests that need
 them do not pay the setup cost repeatedly.
+
+Hypothesis profiles: ``default`` draws the same examples on every run and
+keeps no example database, so a tier-1 failure reproduces from the test id
+alone and no run replays another's failures.  (Hypothesis still caches the
+constants it parses from source under ``.hypothesis/constants/``.)
+``deep`` (CI's full lane, ``--hypothesis-profile deep``) draws fresh
+examples every run and, through :func:`hypothesis_budget.examples`, ten
+times as many.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from hypothesis_budget import BASE_MAX_EXAMPLES
 from repro.core import CDRTrainer, NMCDR, NMCDRConfig, TrainerConfig, build_task
 from repro.data import load_scenario, preprocess_scenario
+
+settings.register_profile(
+    "default", derandomize=True, database=None, max_examples=BASE_MAX_EXAMPLES
+)
+settings.register_profile(
+    "deep", derandomize=False, database=None, max_examples=10 * BASE_MAX_EXAMPLES
+)
 
 
 @pytest.fixture(scope="session")

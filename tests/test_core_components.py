@@ -13,7 +13,12 @@ from repro.core import (
     PredictionHead,
     TrainerConfig,
 )
-from repro.graph import HeadTailPartition, InteractionGraph, MatchingNeighborSampler
+from repro.graph import (
+    HeadTailPartition,
+    InteractionGraph,
+    MatchingNeighborSampler,
+    segment_softmax_attend,
+)
 from repro.tensor import Tensor
 
 
@@ -247,6 +252,27 @@ class TestComplementing:
         np.add.at(sums, toy_graph.user_indices, weights)
         degrees = toy_graph.user_degrees()
         assert np.allclose(sums[degrees > 0], 1.0)
+
+    @pytest.mark.parametrize("spread", [1.0, 50.0])
+    def test_virtual_link_strengths_are_the_kernels_attention(self, toy_graph, rng, spread):
+        """The analysis helper reports the weights the model aggregates with,
+        bit for bit (the large spread exercises the kernel's ±60 clip).
+        With identity values the kernel's output row of user ``u`` holds
+        ``att(u, i)`` in column ``i``: every other term adds an exact zero."""
+        complementing = IntraNodeComplementing(4, 4, rng=rng)
+        users = Tensor(spread * rng.normal(size=(4, 4)))
+        items = Tensor(rng.normal(size=(4, 4)))
+        weights = complementing.virtual_link_strengths(toy_graph, users, items)
+        aggregated = segment_softmax_attend(
+            users,
+            items,
+            Tensor(np.eye(toy_graph.num_items)),
+            toy_graph.user_indices,
+            toy_graph.item_indices,
+            toy_graph.num_users,
+        ).data
+        kernel_weights = aggregated[toy_graph.user_indices, toy_graph.item_indices]
+        assert weights.tobytes() == kernel_weights.tobytes()
 
     def test_empty_graph_returns_input(self, rng):
         graph = InteractionGraph(3, 3, [], [])

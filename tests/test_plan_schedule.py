@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis_budget import examples
+
 from repro.core import NMCDR, NMCDRConfig, build_task
 from repro.core.subgraph_plan import (
     build_subgraph_plan_from_pools,
@@ -191,7 +193,7 @@ class TestScheduleEquivalence:
         assert stats.delta_expansions == 3  # steps after the first reuse
         assert stats.full_expansions == 1
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(
         loader_seed=st.integers(0, 2**16),
         batch_size=st.integers(1, 256),

@@ -38,12 +38,13 @@ from repro.core import (
     build_pool_sharded_plan,
     build_task,
 )
+from repro.core import plan_schedule
 from repro.core.plan_schedule import PoolShardedPlanner
 from repro.core.subgraph_plan import sample_matching_pools
 from repro.data import load_scenario
 from repro.data.dataloader import InteractionDataLoader
 from repro.data.shard import domain_shard_salt, shard_assignments, split_joint_batch
-from repro.graph import MatchingNeighborSampler
+from repro.graph import MatchingNeighborSampler, sampling
 from repro.optim import Adam
 
 
@@ -331,7 +332,65 @@ class TestIncrementalPlanner:
             )
             incremental = planner.plan_for(batches, intra, inter, exchange)
             self.assert_pool_plans_identical(direct, incremental)
-        assert planner.stats.delta_expansions == 4
+        # Random pools change the owned slice every step, so every step is a
+        # from-scratch miss; deterministic pools miss once and then take the
+        # incremental path, which the byte-identity checks above covered.
+        expected = (1, 3) if config.max_matching_neighbors is None else (4, 0)
+        assert planner.stats.plans_built == 4
+        assert (planner.stats.full_expansions, planner.stats.delta_expansions) == expected
+
+    def test_a_miss_expands_once_like_the_direct_builder(self, task, monkeypatch):
+        """Random pools change the owned slice every step, so every step
+        misses.  A miss must cost what the from-scratch builder costs: one
+        k-hop expansion per active domain, with no owned-slice expansion
+        beside it."""
+        expansions = []
+        original = sampling.sample_khop_nodes
+
+        def counting_expansion(*args, **kwargs):
+            expansions.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "sample_khop_nodes", counting_expansion)
+        monkeypatch.setattr(plan_schedule, "sample_khop_nodes", counting_expansion)
+        config = NMCDRConfig(embedding_dim=16, seed=3)
+        direct_model, planner_model = build_nmcdr(task), build_nmcdr(task)
+        direct_model.configure_subgraph_sampling(True)
+        planner_model.configure_subgraph_sampling(True)
+        planner = PoolShardedPlanner(
+            task,
+            config,
+            planner_model._subgraph_settings,
+            planner_model._subgraph_caches,
+            shard_index=0,
+        )
+        sampler = MatchingNeighborSampler(
+            config.max_matching_neighbors, rng=np.random.default_rng(7)
+        )
+        for step in range(3):
+            intra, inter = sample_matching_pools(task, config, sampler)
+            exchange = build_pool_exchange(task, intra, inter, n_shards=2)
+            batches = one_joint_batch(task, seed=40 + step)
+            expansions.clear()
+            build_pool_sharded_plan(
+                task,
+                config,
+                batches,
+                intra,
+                inter,
+                exchange,
+                0,
+                direct_model._subgraph_settings,
+                direct_model._subgraph_caches,
+            )
+            direct_expansions = len(expansions)
+            expansions.clear()
+            planner.plan_for(batches, intra, inter, exchange)
+            assert direct_expansions == 2  # one per domain
+            assert len(expansions) == direct_expansions
+        assert planner.stats.full_expansions == 3
+        assert planner.stats.delta_expansions == 0
+        assert planner.stats.static_closure_reuses == 0
 
     def test_static_expansion_reused_under_deterministic_pools(self, task):
         config = NMCDRConfig(embedding_dim=16, seed=3, max_matching_neighbors=None)

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hypothesis_budget import examples
+
 from repro.tensor import Tensor, ops
 
 finite_floats = st.floats(
@@ -29,19 +31,19 @@ def matching_matrices(draw):
 
 
 class TestAlgebraicProperties:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(matching_matrices())
     def test_add_commutes(self, pair):
         a, b = pair
         assert np.allclose((Tensor(a) + Tensor(b)).data, (Tensor(b) + Tensor(a)).data)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(matching_matrices())
     def test_mul_commutes(self, pair):
         a, b = pair
         assert np.allclose((Tensor(a) * Tensor(b)).data, (Tensor(b) * Tensor(a)).data)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(matching_matrices())
     def test_sub_is_add_neg(self, pair):
         a, b = pair
@@ -50,25 +52,25 @@ class TestAlgebraicProperties:
             (Tensor(a) + (-Tensor(b))).data,
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(arrays((4, 3)))
     def test_double_negation(self, a):
         assert np.allclose((-(-Tensor(a))).data, a)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(arrays((3, 4)))
     def test_relu_idempotent(self, a):
         once = ops.relu(Tensor(a))
         twice = ops.relu(once)
         assert np.allclose(once.data, twice.data)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(arrays((3, 4)))
     def test_sigmoid_bounded(self, a):
         out = ops.sigmoid(Tensor(a)).data
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(arrays((3, 5)))
     def test_softmax_rows_are_distributions(self, a):
         out = ops.softmax(Tensor(a), axis=1).data
@@ -77,14 +79,14 @@ class TestAlgebraicProperties:
 
 
 class TestGradientProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(arrays((3, 4)))
     def test_sum_gradient_is_ones(self, a):
         tensor = Tensor(a, requires_grad=True)
         tensor.sum().backward()
         assert np.allclose(tensor.grad, 1.0)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(arrays((3, 4)), finite_floats)
     def test_scaling_loss_scales_gradient(self, a, scale):
         first = Tensor(a, requires_grad=True)
@@ -93,7 +95,7 @@ class TestGradientProperties:
         ((second * second).sum() * scale).backward()
         assert np.allclose(second.grad, first.grad * scale, atol=1e-8)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(matching_matrices())
     def test_gradient_of_sum_of_two_inputs(self, pair):
         a, b = pair
@@ -103,7 +105,7 @@ class TestGradientProperties:
         assert np.allclose(ta.grad, b, atol=1e-10)
         assert np.allclose(tb.grad, a, atol=1e-10)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     @given(arrays((4, 3)))
     def test_linearity_of_backward(self, a):
         """grad of (f + g) equals grad f + grad g for independent terms."""
@@ -119,7 +121,7 @@ class TestGradientProperties:
         (ops.relu(x3).sum() + ops.tanh(x3).sum()).backward()
         assert np.allclose(x3.grad, grad_f + grad_g, atol=1e-10)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
     def test_matmul_gradient_shapes(self, n, m):
         a = Tensor(np.ones((n, m)), requires_grad=True)

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hypothesis_budget import examples
+
 from repro.data import DomainSpec, ScenarioSpec, generate_scenario
 from repro.graph import InteractionGraph
 from repro.metrics import hit_rate_at_k, mrr, ndcg_at_k, rank_of_positive
@@ -17,34 +19,34 @@ score_matrices = hnp.arrays(
 
 
 class TestRankingMetricProperties:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(score_matrices)
     def test_ranks_within_bounds(self, scores):
         ranks = rank_of_positive(scores)
         assert np.all(ranks >= 1)
         assert np.all(ranks <= scores.shape[1])
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(score_matrices)
     def test_hr_monotone_in_k(self, scores):
         values = [hit_rate_at_k(scores, k) for k in range(1, scores.shape[1] + 1)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == 1.0  # the positive always lands somewhere
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(score_matrices)
     def test_ndcg_bounded_by_hr(self, scores):
         for k in (1, 5, 10):
             assert ndcg_at_k(scores, k) <= hit_rate_at_k(scores, k) + 1e-12
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(score_matrices)
     def test_metrics_in_unit_interval(self, scores):
         assert 0.0 <= hit_rate_at_k(scores, 10) <= 1.0
         assert 0.0 <= ndcg_at_k(scores, 10) <= 1.0
         assert 0.0 < mrr(scores) <= 1.0
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(score_matrices)
     def test_negative_permutation_invariance(self, scores):
         rng = np.random.default_rng(0)
@@ -53,7 +55,7 @@ class TestRankingMetricProperties:
         assert hit_rate_at_k(scores, 10) == hit_rate_at_k(permuted, 10)
         assert ndcg_at_k(scores, 10) == ndcg_at_k(permuted, 10)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(score_matrices)
     def test_boosting_positive_never_hurts(self, scores):
         boosted = scores.copy()
@@ -76,7 +78,7 @@ def edge_lists(draw):
 
 
 class TestGraphProperties:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(edge_lists())
     def test_degrees_sum_to_edge_count(self, data):
         num_users, num_items, users, items = data
@@ -84,7 +86,7 @@ class TestGraphProperties:
         assert graph.user_degrees().sum() == graph.num_edges
         assert graph.item_degrees().sum() == graph.num_edges
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(edge_lists())
     def test_aggregation_rows_are_stochastic(self, data):
         num_users, num_items, users, items = data
@@ -94,7 +96,7 @@ class TestGraphProperties:
         assert np.allclose(sums[degrees > 0], 1.0)
         assert np.allclose(sums[degrees == 0], 0.0)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(edge_lists(), st.integers(min_value=0, max_value=10))
     def test_head_tail_partition_covers_users(self, data, threshold):
         num_users, num_items, users, items = data
@@ -105,7 +107,7 @@ class TestGraphProperties:
 
 
 class TestSyntheticDataProperties:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     @given(
         st.integers(min_value=20, max_value=60),
         st.integers(min_value=20, max_value=50),
