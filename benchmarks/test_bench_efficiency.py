@@ -29,6 +29,7 @@ from repro.baselines import build_model
 from repro.core import CDRTrainer, NMCDR, NMCDRConfig, TrainerConfig, build_task
 from repro.data import load_scenario
 from repro.data.dataloader import InteractionDataLoader
+from repro.data.pipeline import DataPipeline
 from repro.experiments import fast_mode, format_comparison_table
 from repro.experiments.paper_reference import EFFICIENCY_REFERENCE
 from repro.experiments.runner import prepare_dataset
@@ -200,49 +201,14 @@ def test_bench_efficiency(benchmark):
         assert reports[name].test_seconds_per_batch > 0
 
 
-def _run_pipeline_overlap():
-    """Overlap + plan-build record at the largest scaling-bench size.
-
-    Two measurements:
-
-    * **Pipeline overlap** — NMCDR sampled training (1 hop, fanout 8,
-      scheduled plans) with the *legacy rng-parity* negative sampler, whose
-      per-epoch materialisation cost stands in for any data pipeline with
-      expensive epoch-boundary prep (the vectorised default sampler made
-      prep ~1% of wall time, where overlap is unmeasurable).  Serial vs
-      epoch-prefetched runs are loss-identical; the prefetch run hides most
-      of the data wait behind the training steps.
-    * **Plan build** — median per-step plan-construction time of the
-      incremental ``PlanSchedule`` with the CSR-native extraction, at the
-      model's exactness depth.
-    """
+def _run_plan_build():
+    """Median per-step plan-construction time of the incremental
+    ``PlanSchedule`` with the CSR-native extraction, at the model's exactness
+    depth and the largest scaling-bench size."""
     scale = SCALING_SCALES[-1]
     with engine.engine_dtype("float32"):
         dataset = load_scenario("cloth_sport", scale=scale, seed=13)
         task = build_task(dataset, head_threshold=7)
-
-        def fit(prefetch_epochs):
-            model = NMCDR(task, NMCDRConfig(embedding_dim=32, seed=0))
-            config = TrainerConfig(
-                num_epochs=3,
-                batch_size=2048,
-                seed=5,
-                sampled_subgraph_training=True,
-                subgraph_num_hops=1,
-                subgraph_fanout=8,
-                prefetch_epochs=prefetch_epochs,
-            )
-            trainer = CDRTrainer(model, task, config)
-            for loader in trainer._loaders.values():
-                loader.vectorized_negatives = False  # the expensive-prep stand-in
-            return trainer.fit()
-
-        serial = fit(0)
-        prefetched = fit(1)
-        assert serial.epoch_losses == prefetched.epoch_losses, (
-            "prefetching must not change the batch stream"
-        )
-
         # Deterministic matching pools (max_matching_neighbors=None, a
         # paper-faithful configuration): the regime where the schedule's
         # static-closure caching and delta expansion fully engage.
@@ -270,42 +236,22 @@ def _run_pipeline_overlap():
             times.append(time.perf_counter() - started)
         scheduled_ms = float(np.median(times)) * 1e3
 
-    return {
-        "scale": scale,
-        "num_epochs": 3,
-        "sampler": "legacy-parity (per-user loop; expensive-prep stand-in)",
-        "serial_fit_wall_s": serial.fit_wall_seconds,
-        "prefetch_fit_wall_s": prefetched.fit_wall_seconds,
-        "serial_data_wait_s": serial.data_wait_seconds_total,
-        "prefetch_data_wait_s": prefetched.data_wait_seconds_total,
-        "serial_step_s": serial.step_seconds_total,
-        "prefetch_step_s": prefetched.step_seconds_total,
-        "wall_reduction": 1.0 - prefetched.fit_wall_seconds / serial.fit_wall_seconds,
-        "plan_build": {"scheduled_ms": scheduled_ms},
-    }
+    return {"scale": scale, "plan_build": {"scheduled_ms": scheduled_ms}}
 
 
 def test_bench_pipeline_overlap(benchmark):
-    """Prefetching hides the data wait; the scheduled plan build is recorded.
+    """The scheduled plan-build time, recorded for the CI perf gate.
 
-    The structural claim gated here is deliberately noise-tolerant for
-    shared CI hardware: the prefetched run must hide most of the consumer's
-    data wait (the wall reduction itself is recorded, not tightly gated —
-    GIL contention makes it hardware-dependent).  The scheduled plan-build
-    time is gated against the committed baseline in
-    ``scripts/check_perf_regression.py``.
+    It is written under ``pipeline_overlap``, the key under which
+    ``scripts/check_perf_regression.py`` finds it in the baseline on main.
     """
-    record = run_once(benchmark, _run_pipeline_overlap)
+    record = run_once(benchmark, _run_plan_build)
 
     lines = [
-        "Pipeline overlap (epoch-prefetch) and incremental plan builds",
+        "Incremental plan builds",
         "",
-        f"scale {record['scale']}: serial fit wall {record['serial_fit_wall_s']:.2f}s "
-        f"(data wait {record['serial_data_wait_s']:.2f}s) vs prefetched "
-        f"{record['prefetch_fit_wall_s']:.2f}s (data wait "
-        f"{record['prefetch_data_wait_s']:.2f}s) — "
-        f"wall reduction {record['wall_reduction'] * 100:.1f}%",
-        f"plan build: scheduled {record['plan_build']['scheduled_ms']:.2f} ms",
+        f"scale {record['scale']}: plan build: scheduled "
+        f"{record['plan_build']['scheduled_ms']:.2f} ms",
     ]
     write_report("efficiency_pipeline_overlap", "\n".join(lines))
     _update_bench_json(
@@ -318,11 +264,6 @@ def test_bench_pipeline_overlap(benchmark):
             }
         }
     )
-
-    # The worker must hide the bulk of the data wait behind training.
-    assert record["prefetch_data_wait_s"] < 0.6 * record["serial_data_wait_s"], record
-    # And prefetching must never cost wall time beyond noise.
-    assert record["prefetch_fit_wall_s"] < 1.05 * record["serial_fit_wall_s"], record
 
 
 def test_bench_subgraph_scaling(benchmark):
@@ -623,7 +564,7 @@ def _run_sharded_pool_scaling():
             model, task, _pool_step_config(pool_sharding, batch_size)
         )
         training_engine = trainer.build_engine()
-        pipeline = training_engine.build_pipeline(trainer._loaders)
+        pipeline = DataPipeline(trainer._loaders)
         profiler.reset()
         profiler.enable()
         try:
@@ -892,7 +833,7 @@ def _run_shm_exchange():
         )
         trainer = CDRTrainer(model, task, config)
         training_engine = trainer.build_engine()
-        pipeline = training_engine.build_pipeline(trainer._loaders)
+        pipeline = DataPipeline(trainer._loaders)
         profiler.reset()
         profiler.enable()
         try:
@@ -1060,7 +1001,7 @@ def _run_traced_replay():
             )
             trainer = CDRTrainer(model, task, config)
             training_engine = trainer.build_engine()
-            pipeline = training_engine.build_pipeline(trainer._loaders)
+            pipeline = DataPipeline(trainer._loaders)
             profiler.reset()
             profiler.enable()
             try:

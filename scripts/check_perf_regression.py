@@ -5,9 +5,7 @@ Compares a freshly emitted efficiency record against the committed baseline
 and fails (exit code 1) when any model's training seconds-per-batch slowed
 down by more than the threshold (default 20%).  The subgraph-scaling sweep
 is additionally checked on its largest graph point when both records carry
-one, and the pipeline-overlap section is checked on both its wall-time
-numbers (prefetched fit wall, scheduled plan-build ms) and its structural
-claim (the prefetch run must still hide the bulk of the data wait).
+one, and the pipeline-overlap section on its scheduled plan-build ms.
 
 Usage::
 
@@ -78,36 +76,18 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> int:
 
     base_overlap = baseline.get("pipeline_overlap")
     fresh_overlap = fresh.get("pipeline_overlap")
-    if fresh_overlap:
-        # Structural claim, baseline-independent: prefetching must still hide
-        # most of the consumer's data wait.
-        serial_wait = fresh_overlap.get("serial_data_wait_s")
-        prefetch_wait = fresh_overlap.get("prefetch_data_wait_s")
-        if serial_wait and prefetch_wait and prefetch_wait > 0.6 * serial_wait:
-            failures.append(
-                f"pipeline overlap lost: prefetch data wait {prefetch_wait:.2f}s vs "
-                f"serial {serial_wait:.2f}s (expected < 60%)"
-            )
     if base_overlap and fresh_overlap:
-        for label, field_name in (
-            ("prefetched fit wall", "prefetch_fit_wall_s"),
-            ("scheduled plan build", ("plan_build", "scheduled_ms")),
-        ):
-            if isinstance(field_name, tuple):
-                base_time = (base_overlap.get(field_name[0]) or {}).get(field_name[1])
-                fresh_time = (fresh_overlap.get(field_name[0]) or {}).get(field_name[1])
-                if base_time and fresh_time:
-                    base_time, fresh_time = base_time / 1e3, fresh_time / 1e3  # ms → s
-            else:
-                base_time = base_overlap.get(field_name)
-                fresh_time = fresh_overlap.get(field_name)
-            if not base_time or not fresh_time:
-                continue
+        base_time = (base_overlap.get("plan_build") or {}).get("scheduled_ms")
+        fresh_time = (fresh_overlap.get("plan_build") or {}).get("scheduled_ms")
+        if base_time and fresh_time:
+            base_time, fresh_time = base_time / 1e3, fresh_time / 1e3  # ms → s
             change = fresh_time / base_time - 1.0
-            rows.append((f"pipeline overlap: {label}", base_time, fresh_time, change))
+            rows.append(
+                ("pipeline overlap: scheduled plan build", base_time, fresh_time, change)
+            )
             if change > threshold:
                 failures.append(
-                    f"pipeline overlap: {label} regressed {change * 100:+.1f}%"
+                    f"pipeline overlap: scheduled plan build regressed {change * 100:+.1f}%"
                 )
 
     base_sharded = baseline.get("sharded_scaling")

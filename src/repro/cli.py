@@ -184,12 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine dtype for the profiled run",
     )
     profile.add_argument(
-        "--prefetch",
-        type=int,
-        default=0,
-        help="background batch prefetch depth (0 = serial pipeline)",
-    )
-    profile.add_argument(
         "--sampled",
         action="store_true",
         help="profile sampled-subgraph training (adds the plan/build phase)",
@@ -469,14 +463,15 @@ def _command_efficiency(args: argparse.Namespace) -> str:
 def _command_profile(args: argparse.Namespace) -> str:
     """Per-stage (data/plan/step) and per-op breakdown through the engine.
 
-    The profiled loop is the real staged engine — DataPipeline (serial or
-    prefetched) → the incremental plan schedule (``--sampled``) →
-    StepExecutor — so the scope rows mirror production phase structure:
-    ``data/wait``, ``plan/build`` (sampled mode), ``train/forward`` /
-    ``train/backward`` / ``train/optimizer``; sharded runs add the exchange
-    plane's ``comms`` section.
+    The profiled loop is the real staged engine — DataPipeline → the
+    incremental plan schedule (``--sampled``) → StepExecutor — so the scope
+    rows mirror production phase structure: ``data/wait``, ``plan/build``
+    (sampled mode), ``train/forward`` / ``train/backward`` /
+    ``train/optimizer``; sharded runs add the exchange plane's ``comms``
+    section.
     """
     from .core import CDRTrainer, TrainerConfig
+    from .data.pipeline import DataPipeline
     from .profiling import profile as profile_context, profiler
     from .tensor import engine
 
@@ -497,13 +492,12 @@ def _command_profile(args: argparse.Namespace) -> str:
             learning_rate=1e-3,
             eval_every=0,
             seed=settings.seed,
-            prefetch_epochs=args.prefetch,
             sampled_subgraph_training=args.sampled,
             **_execution_config_fields(args),
         )
         trainer = CDRTrainer(model, task, config)
         training_engine = trainer.build_engine()
-        pipeline = training_engine.build_pipeline(trainer._loaders)
+        pipeline = DataPipeline(trainer._loaders)
         with profile_context(instrument=not args.no_instrument):
             history = training_engine.fit(pipeline, max_steps=args.batches)
         executor_note = (
@@ -515,12 +509,10 @@ def _command_profile(args: argparse.Namespace) -> str:
         header = (
             f"profiled {args.profile_model} for {history.num_batches} training steps "
             f"(dtype={args.dtype}, batch_size={settings.batch_size}, "
-            f"prefetch={args.prefetch}, sampled={args.sampled}, "
-            f"traced={args.traced}{executor_note})"
+            f"sampled={args.sampled}, traced={args.traced}{executor_note})"
         )
         phases = (
-            f"phase totals: data wait {history.data_wait_seconds_total * 1e3:.1f} ms | "
-            f"data prep {history.data_prep_seconds_total * 1e3:.1f} ms | "
+            f"phase totals: data prep {history.data_prep_seconds_total * 1e3:.1f} ms | "
             f"step {history.step_seconds_total * 1e3:.1f} ms"
         )
         return header + "\n" + phases + "\n\n" + profiler.report()

@@ -6,8 +6,7 @@ A checkpoint captures the *complete* training state of a
 * model parameters and the Adam moment buffers (plus ``step_count``/``lr``);
 * the LR-scheduler epoch and the early-stopping counter;
 * every rng stream a step consumes — the per-domain loader generators (as
-  snapshotted by the data pipeline at epoch granularity, so the prefetch
-  worker's lookahead does not leak into the saved state) and the model's
+  snapshotted by the data pipeline around each epoch) and the model's
   step generators (:func:`repro.tensor.trace.model_rng_sources`, e.g.
   NMCDR's matching-pool sampler);
 * the :class:`~repro.core.engine.TrainingHistory` including the
@@ -92,10 +91,13 @@ _VOLATILE_CONFIG_FIELDS = frozenset(
 
 #: TrainerConfig fields of earlier versions that only chose between
 #: implementations gated numerically identical (per-step vs scheduled
-#: subgraph plans, pickled pipes vs the shm exchange plane).  A saved
-#: ``run.json`` trainer dict or checkpoint fingerprint naming them still
-#: describes the same run, so readers drop them (:func:`without_retired_fields`).
-_RETIRED_CONFIG_FIELDS = frozenset({"scheduled_subgraph_plans", "shm_exchange"})
+#: subgraph plans, pickled pipes vs the shm exchange plane, a read-ahead
+#: data-pipeline thread vs none).  A saved ``run.json`` trainer dict or
+#: checkpoint fingerprint naming them still describes the same run, so
+#: readers drop them (:func:`without_retired_fields`).
+_RETIRED_CONFIG_FIELDS = frozenset(
+    {"scheduled_subgraph_plans", "shm_exchange", "prefetch_epochs"}
+)
 
 #: History fields serialised verbatim into the meta blob (JSON round-trips
 #: Python floats exactly, so the restored accumulators stay bit-identical).
@@ -106,7 +108,6 @@ _HISTORY_SCALARS = (
     "num_batches",
     "step_seconds_total",
     "data_prep_seconds_total",
-    "data_wait_seconds_total",
     "fit_wall_seconds",
     "worker_deaths",
     "worker_timeouts",
@@ -638,8 +639,7 @@ class CheckpointCallback(Callback):
 
     def _save_epoch_boundary(self, context: EngineContext, epoch: int) -> None:
         # Loader rng as of *after* this epoch's production == before the
-        # next epoch's; the pipeline snapshots it around materialisation so
-        # prefetch lookahead cannot leak into the saved state.
+        # next epoch's.
         self._write(
             context,
             ResumeState(

@@ -143,13 +143,6 @@ class TrainerConfig:
     #: (exact neighbourhoods).  Setting it bounds subgraph size at the cost
     #: of approximate propagation for truncated nodes.
     subgraph_fanout: Optional[int] = None
-    #: Background data prefetching: ``0`` (default) prepares batches on the
-    #: training thread exactly like the historical loop (seed parity); any
-    #: positive value runs the data pipeline on a worker thread buffering
-    #: that many *epochs* ahead (``1`` = double buffering), overlapping
-    #: epoch-boundary example materialisation and negative sampling with the
-    #: training steps.  The batch sequence is identical under a fixed seed.
-    prefetch_epochs: int = 0
     #: Which step executor drives the optimisation step: ``"serial"`` (the
     #: seed-parity default, in-process) or ``"sharded"`` — the data-parallel
     #: :class:`~repro.core.sharded.ShardedStepExecutor`, which splits every
@@ -236,8 +229,6 @@ class TrainerConfig:
             raise ValueError("subgraph_num_hops must be >= 1 or None")
         if self.subgraph_fanout is not None and self.subgraph_fanout < 1:
             raise ValueError("subgraph_fanout must be >= 1 or None")
-        if self.prefetch_epochs < 0:
-            raise ValueError("prefetch_epochs must be >= 0")
         if self.executor not in ("serial", "sharded"):
             raise ValueError("executor must be 'serial' or 'sharded'")
         if self.n_shards < 1:

@@ -4,7 +4,7 @@ The engine decomposes the historical monolithic trainer loop into three
 independently testable stages wired by callbacks:
 
 * a :class:`~repro.data.pipeline.DataPipeline` supplies joint per-step batch
-  dicts (serial, or prefetched on a background worker);
+  dicts, produced on demand on the training thread;
 * in sampled-subgraph training the model's incremental
   :class:`~repro.core.plan_schedule.PlanSchedule` turns a step's batches
   into a subgraph plan — the engine only signals epoch boundaries through
@@ -15,16 +15,15 @@ independently testable stages wired by callbacks:
 
 Cross-cutting concerns — early stopping, learning-rate scheduling, custom
 monitoring — plug in as :class:`Callback` objects instead of branches inside
-the loop.  With the default configuration (serial pipeline, serial executor,
-no scheduler) the engine replays the historical loop exactly: same rng
-consumption, same step order, same histories under a fixed seed.
+the loop.  With the default configuration (serial executor, no scheduler)
+the engine replays the historical loop exactly: same rng consumption, same
+step order, same histories under a fixed seed.
 
 Timing is recorded per stage so benchmarks stop under-reporting wall cost:
 ``step_seconds_total`` is the pure optimisation time (the historical
-``train_seconds_per_batch`` numerator), ``data_prep_seconds_total`` is the
-producer-side batch materialisation cost and ``data_wait_seconds_total`` is
-how long the loop actually stood still waiting for data — the gap between
-the last two is the wall time a prefetching pipeline hid behind training.
+``train_seconds_per_batch`` numerator) and ``data_prep_seconds_total`` is
+the batch materialisation cost the loop stood still for.  Both, like
+``fit_wall_seconds``, carry on across a checkpoint resume.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..data.pipeline import DataPipeline, build_pipeline
+from ..data.pipeline import DataPipeline
 from ..optim import Optimizer, build_scheduler, clip_grad_norm
 from ..profiling import profiler
 from .config import TrainerConfig
@@ -67,14 +66,9 @@ class TrainingHistory:
     profile_report: Optional[str] = None
     #: Pure optimisation time summed over steps (forward/backward/update).
     step_seconds_total: float = 0.0
-    #: Producer-side batch preparation time (materialisation, negatives,
-    #: slicing) — runs on the worker thread when prefetching.
+    #: Batch preparation time (materialisation, negatives, slicing).
     data_prep_seconds_total: float = 0.0
-    #: Time the training loop actually blocked waiting for batches; equals
-    #: ``data_prep_seconds_total`` for the serial pipeline, approaches zero
-    #: when prefetching fully overlaps preparation with training.
-    data_wait_seconds_total: float = 0.0
-    #: Wall-clock duration of the whole fit loop.
+    #: Wall-clock duration of the fit loop (summed over resumed runs).
     fit_wall_seconds: float = 0.0
     #: Per-epoch wall-clock durations (data + step + bookkeeping).
     epoch_wall_seconds: List[float] = field(default_factory=list)
@@ -99,7 +93,7 @@ class TrainingHistory:
 
     @property
     def data_seconds_per_batch(self) -> float:
-        """Producer-side data cost per executed step (0 when nothing ran)."""
+        """Data-prep cost per executed step (0 when nothing ran)."""
         return self.data_prep_seconds_total / self.num_batches if self.num_batches else 0.0
 
 
@@ -340,15 +334,6 @@ class TrainingEngine:
                 return callback
         return None
 
-    def build_pipeline(self, loaders, start_epoch: int = 0) -> DataPipeline:
-        """Default pipeline for the configured prefetch depth."""
-        return build_pipeline(
-            loaders,
-            num_epochs=self.config.num_epochs,
-            prefetch_epochs=self.config.prefetch_epochs,
-            start_epoch=start_epoch,
-        )
-
     # ------------------------------------------------------------------
     # the loop
     # ------------------------------------------------------------------
@@ -362,18 +347,18 @@ class TrainingEngine:
         """Run the training loop over the pipeline's epochs.
 
         ``max_steps`` caps the total number of executed steps (profiling and
-        smoke runs); the loop stops cleanly once it is reached.  The pipeline
-        is always closed on exit — normal return, early stop or exception —
-        so no worker thread outlives this call.
+        smoke runs); the loop stops cleanly once it is reached.  The
+        executor is always closed on exit — normal return, early stop or
+        exception — so no worker process outlives this call.
 
         ``resume`` (a :class:`~repro.core.checkpoint.ResumeState`, paired
-        with a ``history`` restored by the checkpoint module and a pipeline
-        built with the matching ``start_epoch``) continues a checkpointed
-        run: the loop enters at ``resume.next_epoch``, replays the epoch's
-        already-trained step prefix without executing it (the restored
-        loader rng regenerates the identical batch stream), and carries the
-        checkpointed partial epoch-loss sum — the completed run is
-        bit-identical to one that was never interrupted.
+        with a ``history`` restored by the checkpoint module) continues a
+        checkpointed run: the loop enters at ``resume.next_epoch``, replays
+        the epoch's already-trained step prefix without executing it (the
+        restored loader rng regenerates the identical batch stream), and
+        carries the checkpointed partial epoch-loss sum — the completed run
+        is bit-identical to one that was never interrupted.  This call's
+        data-prep and wall time are added to the restored history's totals.
         """
         history = history if history is not None else TrainingHistory()
         context = EngineContext(
@@ -388,99 +373,107 @@ class TrainingEngine:
         fit_started = time.perf_counter()
         total_steps = resume.total_steps if resume is not None else 0
         start_epoch = resume.next_epoch if resume is not None else 0
+        prep_before = history.data_prep_seconds_total
+        wall_before = history.fit_wall_seconds
+
+        def record_totals() -> None:
+            # Kept current before every callback that may write a checkpoint,
+            # so a resumed run's totals cover the time of both processes.
+            history.data_prep_seconds_total = prep_before + pipeline.prep_seconds
+            history.fit_wall_seconds = wall_before + (time.perf_counter() - fit_started)
+
         try:
             # Executors with external resources (the sharded executor's
-            # worker processes) open *before* the pipeline starts any worker
-            # thread — forking a multi-threaded process risks inheriting
-            # held locks — but inside this try, so a failing open or
+            # worker processes) open inside this try, so a failing open or
             # on_fit_start callback still reaches the executor close below.
             executor_open = getattr(self.executor, "open", None)
             if callable(executor_open):
                 executor_open()
             for callback in self.callbacks:
                 callback.on_fit_start(context)
-            with pipeline:
-                for epoch in range(start_epoch, config.num_epochs):
-                    context.epoch = epoch
-                    # A mid-epoch resume re-enters the epoch the killed run
-                    # was in: its learning-rate entry is already in the
-                    # restored history, and the already-trained step prefix
-                    # is replayed (batches discarded) instead of re-run.
-                    resuming_mid_epoch = (
-                        resume is not None
-                        and epoch == resume.next_epoch
-                        and resume.steps_into_epoch > 0
-                    )
-                    if not resuming_mid_epoch:
-                        history.learning_rates.append(self.optimizer.lr)
-                    epoch_started = time.perf_counter()
-                    self.model.on_epoch_start(epoch)
-                    for callback in self.callbacks:
-                        callback.on_epoch_start(context, epoch)
+            for epoch in range(start_epoch, config.num_epochs):
+                context.epoch = epoch
+                # A mid-epoch resume re-enters the epoch the killed run
+                # was in: its learning-rate entry is already in the
+                # restored history, and the already-trained step prefix
+                # is replayed (batches discarded) instead of re-run.
+                resuming_mid_epoch = (
+                    resume is not None
+                    and epoch == resume.next_epoch
+                    and resume.steps_into_epoch > 0
+                )
+                if not resuming_mid_epoch:
+                    history.learning_rates.append(self.optimizer.lr)
+                epoch_started = time.perf_counter()
+                self.model.on_epoch_start(epoch)
+                for callback in self.callbacks:
+                    callback.on_epoch_start(context, epoch)
 
-                    epoch_loss = resume.epoch_loss if resuming_mid_epoch else 0.0
-                    epoch_steps = resume.steps_into_epoch if resuming_mid_epoch else 0
-                    epoch_truncated = False
-                    steps = pipeline.epoch(epoch)
-                    for _ in range(resume.steps_into_epoch if resuming_mid_epoch else 0):
-                        if next(steps, None) is None:
-                            raise RuntimeError(
-                                "resume position beyond the epoch's step count; "
-                                "the checkpoint does not match this data pipeline"
-                            )
-                    while True:
-                        with profiler.scope("data/wait"):
-                            batches = next(steps, None)
-                        if batches is None:
-                            break
-                        step_started = time.perf_counter()
-                        loss = self.executor.run_step(batches)
-                        history.step_seconds_total += time.perf_counter() - step_started
-                        epoch_loss += loss
-                        epoch_steps += 1
-                        total_steps += 1
-                        history.num_batches = total_steps
-                        for callback in self.callbacks:
-                            callback.on_step_end(context, total_steps, loss)
-                        if max_steps is not None and total_steps >= max_steps:
-                            context.request_stop()
-                            epoch_truncated = True
-                            break
-
-                    history.epoch_wall_seconds.append(
-                        time.perf_counter() - epoch_started,
-                    )
-                    if epoch_truncated:
-                        # A max_steps cap cut the epoch short: recording a
-                        # partial mean as an epoch loss (or advancing the LR
-                        # scheduler / evaluating) would misrepresent a
-                        # fraction of an epoch as a completed one.
-                        break
-                    mean_loss = epoch_loss / max(epoch_steps, 1)
-                    history.epoch_losses.append(mean_loss)
-                    if config.verbose:
-                        print(
-                            f"[{type(self.model).__name__}] epoch {epoch + 1}/"
-                            f"{config.num_epochs} loss={mean_loss:.4f}"
+                epoch_loss = resume.epoch_loss if resuming_mid_epoch else 0.0
+                epoch_steps = resume.steps_into_epoch if resuming_mid_epoch else 0
+                epoch_truncated = False
+                steps = pipeline.epoch()
+                for _ in range(resume.steps_into_epoch if resuming_mid_epoch else 0):
+                    if next(steps, None) is None:
+                        raise RuntimeError(
+                            "resume position beyond the epoch's step count; "
+                            "the checkpoint does not match this data pipeline"
                         )
-                    for callback in self.callbacks:
-                        callback.on_epoch_end(context, epoch, mean_loss)
-
-                    if (
-                        config.eval_every
-                        and self.evaluate_fn is not None
-                        and (epoch + 1) % config.eval_every == 0
-                    ):
-                        metrics = self.evaluate_fn()
-                        history.validation_metrics.append(metrics)
-                        for callback in self.callbacks:
-                            callback.on_evaluation(context, epoch, metrics)
-
-                    for callback in self.callbacks:
-                        callback.on_epoch_complete(context, epoch)
-
-                    if context.stop_requested:
+                while True:
+                    with profiler.scope("data/wait"):
+                        batches = next(steps, None)
+                    if batches is None:
                         break
+                    step_started = time.perf_counter()
+                    loss = self.executor.run_step(batches)
+                    history.step_seconds_total += time.perf_counter() - step_started
+                    epoch_loss += loss
+                    epoch_steps += 1
+                    total_steps += 1
+                    history.num_batches = total_steps
+                    record_totals()
+                    for callback in self.callbacks:
+                        callback.on_step_end(context, total_steps, loss)
+                    if max_steps is not None and total_steps >= max_steps:
+                        context.request_stop()
+                        epoch_truncated = True
+                        break
+
+                history.epoch_wall_seconds.append(
+                    time.perf_counter() - epoch_started,
+                )
+                if epoch_truncated:
+                    # A max_steps cap cut the epoch short: recording a
+                    # partial mean as an epoch loss (or advancing the LR
+                    # scheduler / evaluating) would misrepresent a
+                    # fraction of an epoch as a completed one.
+                    break
+                mean_loss = epoch_loss / max(epoch_steps, 1)
+                history.epoch_losses.append(mean_loss)
+                if config.verbose:
+                    print(
+                        f"[{type(self.model).__name__}] epoch {epoch + 1}/"
+                        f"{config.num_epochs} loss={mean_loss:.4f}"
+                    )
+                for callback in self.callbacks:
+                    callback.on_epoch_end(context, epoch, mean_loss)
+
+                if (
+                    config.eval_every
+                    and self.evaluate_fn is not None
+                    and (epoch + 1) % config.eval_every == 0
+                ):
+                    metrics = self.evaluate_fn()
+                    history.validation_metrics.append(metrics)
+                    for callback in self.callbacks:
+                        callback.on_evaluation(context, epoch, metrics)
+
+                record_totals()
+                for callback in self.callbacks:
+                    callback.on_epoch_complete(context, epoch)
+
+                if context.stop_requested:
+                    break
         finally:
             # Symmetric to the eager open above: whatever path exits the
             # loop — normal return, early stop, executor crash — no worker
@@ -495,9 +488,7 @@ class TrainingEngine:
                 history.worker_timeouts += fault_events.get("timeouts", 0)
                 history.worker_respawns += fault_events.get("respawns", 0)
                 history.executor_degradations += fault_events.get("degradations", 0)
-            history.data_prep_seconds_total = pipeline.stats.prep_seconds
-            history.data_wait_seconds_total = pipeline.stats.wait_seconds
-            history.fit_wall_seconds = time.perf_counter() - fit_started
+            record_totals()
             history.train_seconds_per_batch = history.step_seconds_total / max(
                 history.num_batches, 1
             )

@@ -636,9 +636,7 @@ class ShardedStepExecutor(StepExecutor):
         """Allocate shared memory and fork the shard workers.
 
         Called lazily by :meth:`run_step` and eagerly by the training engine
-        *before* the data pipeline starts, so the fork happens while the
-        process is still single-threaded (forking after the prefetch worker
-        thread exists would risk inheriting held locks).
+        when a fit starts.
         """
         if self._workers:
             return

@@ -18,8 +18,8 @@ staged :class:`~repro.core.engine.TrainingEngine` (data pipeline → plan
 schedule → step executor, with early stopping and LR scheduling as
 callbacks).  One mini-batch per domain per step is drawn (the multi-target
 setting: both domains are optimised simultaneously, Eq. 24); the default
-configuration — serial pipeline, serial executor, full-graph forwards —
-replays the historical monolithic loop bit-for-bit under a fixed seed.
+configuration — serial executor, full-graph forwards — replays the
+historical monolithic loop bit-for-bit under a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..data.dataloader import InteractionDataLoader
+from ..data.pipeline import DataPipeline
 from ..metrics.evaluator import RankingEvaluator
 from ..optim import Adam
 from ..profiling import profiler
@@ -126,7 +127,6 @@ class CDRTrainer:
         engine = self.build_engine()
         history = TrainingHistory()
         resume = None
-        start_epoch = 0
         if resume_from is not None:
             from pathlib import Path
 
@@ -151,13 +151,12 @@ class CDRTrainer:
                 scheduler=engine.scheduler,
                 early_stopping=engine.early_stopper,
             )
-            start_epoch = resume.next_epoch
-            if start_epoch >= self.config.num_epochs:
+            if resume.next_epoch >= self.config.num_epochs:
                 # The checkpoint already covers the full run; nothing to do.
                 return history
         # The pipeline is built at fit time from the live loader dict so a
         # caller may swap loaders in between construction and training.
-        pipeline = engine.build_pipeline(self._loaders, start_epoch=start_epoch)
+        pipeline = DataPipeline(self._loaders)
         if self.config.profile:
             profiler.reset()
             profiler.enable()

@@ -10,13 +10,7 @@ from .datasets import (
     scenario_spec,
 )
 from .negative_sampling import NegativeSampler, build_ranking_candidates
-from .pipeline import (
-    DataPipeline,
-    PipelineStats,
-    PrefetchDataPipeline,
-    SerialDataPipeline,
-    build_pipeline,
-)
+from .pipeline import DataPipeline
 from .preprocessing import compact_items, filter_min_interactions, preprocess_scenario
 from .schema import CDRDataset, DomainData
 from .split import DomainSplit, leave_one_out_split
@@ -48,10 +42,6 @@ __all__ = [
     "InteractionDataLoader",
     "build_training_examples",
     "DataPipeline",
-    "SerialDataPipeline",
-    "PrefetchDataPipeline",
-    "PipelineStats",
-    "build_pipeline",
     "DomainStatistics",
     "scenario_statistics",
     "format_statistics_table",

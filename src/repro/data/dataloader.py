@@ -1,4 +1,8 @@
-"""Mini-batch iteration over (user, item, label) training triples."""
+"""Mini-batch iteration over (user, item, label) training triples.
+
+Each epoch re-draws the negatives with the vectorised sampler of
+:mod:`repro.data.negative_sampling`, shuffles, and slices batches.
+"""
 
 from __future__ import annotations
 
@@ -29,15 +33,12 @@ def build_training_examples(
     split: DomainSplit,
     negatives_per_positive: int = 1,
     rng: Optional[np.random.Generator] = None,
-    vectorized_negatives: bool = True,
     sampler: Optional[NegativeSampler] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Materialise positives plus freshly sampled negatives as flat arrays.
 
     The paper trains with one sampled negative per observed positive; this
     helper is called once per epoch so negatives are re-drawn each time.
-    ``vectorized_negatives=False`` selects the legacy per-user sampling loop
-    (same rng stream as the seed implementation, kept for fixed-seed replays).
     ``sampler`` lets the caller reuse one :class:`NegativeSampler` across
     epochs (its seen-set CSR is a function of the immutable domain log, yet
     it used to be rebuilt every epoch); constructing the sampler consumes no
@@ -46,9 +47,7 @@ def build_training_examples(
     if sampler is None:
         sampler = NegativeSampler(split.domain, rng=rng)
     pos_users, pos_items = split.train_users, split.train_items
-    negatives = sampler.sample_pairs(
-        pos_users, negatives_per_positive, vectorized=vectorized_negatives
-    )
+    negatives = sampler.sample_pairs(pos_users, negatives_per_positive)
 
     users = np.concatenate([pos_users, np.repeat(pos_users, negatives_per_positive)])
     items = np.concatenate([pos_items, negatives.reshape(-1)])
@@ -79,6 +78,9 @@ def build_training_examples(
 class InteractionDataLoader:
     """Shuffling mini-batch iterator over implicit-feedback examples.
 
+    Negatives are re-drawn at the start of every epoch, matching standard
+    implicit-feedback training practice.
+
     Parameters
     ----------
     split:
@@ -88,12 +90,6 @@ class InteractionDataLoader:
         Number of examples per batch (positives and negatives mixed).
     negatives_per_positive:
         How many negative items to draw per training positive (1 in the paper).
-    resample_negatives:
-        When true (default), negatives are re-drawn at the start of every
-        epoch, matching standard implicit-feedback training practice.
-    vectorized_negatives:
-        When true (default), negatives come from the vectorised rejection
-        sampler; false replays the legacy per-user loop (seed rng stream).
     """
 
     def __init__(
@@ -101,9 +97,7 @@ class InteractionDataLoader:
         split: DomainSplit,
         batch_size: int = 512,
         negatives_per_positive: int = 1,
-        resample_negatives: bool = True,
         rng: Optional[np.random.Generator] = None,
-        vectorized_negatives: bool = True,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -112,30 +106,21 @@ class InteractionDataLoader:
         self.split = split
         self.batch_size = int(batch_size)
         self.negatives_per_positive = int(negatives_per_positive)
-        self.resample_negatives = resample_negatives
-        self.vectorized_negatives = vectorized_negatives
         self._rng = rng or np.random.default_rng(0)
-        self._cached = None
         self._sampler: Optional[NegativeSampler] = None
 
-    def _examples(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.resample_negatives or self._cached is None:
-            if self._sampler is None:
-                # One seen-set CSR per loader lifetime instead of per epoch;
-                # the sampler owns the loader's rng so the negative stream is
-                # unchanged.
-                self._sampler = NegativeSampler(self.split.domain, rng=self._rng)
-            self._cached = build_training_examples(
-                self.split,
-                self.negatives_per_positive,
-                rng=self._rng,
-                vectorized_negatives=self.vectorized_negatives,
-                sampler=self._sampler,
-            )
-        return self._cached
-
     def __iter__(self) -> Iterator[Batch]:
-        users, items, labels = self._examples()
+        if self._sampler is None:
+            # One seen-set CSR per loader lifetime instead of per epoch; the
+            # sampler owns the loader's rng so the negative stream is
+            # unchanged.
+            self._sampler = NegativeSampler(self.split.domain, rng=self._rng)
+        users, items, labels = build_training_examples(
+            self.split,
+            self.negatives_per_positive,
+            rng=self._rng,
+            sampler=self._sampler,
+        )
         order = self._rng.permutation(users.shape[0])
         for start in range(0, order.shape[0], self.batch_size):
             index = order[start : start + self.batch_size]

@@ -9,9 +9,12 @@ candidate matrix is drawn for the whole batch, collisions with the user→items
 CSR (and within-row duplicates) are masked with a single sorted-key lookup
 and redrawn.  Users whose histories nearly saturate the catalogue fall back
 to an exact per-user draw over the materialised unseen set — rejection odds
-degrade exactly when enumerating the complement is cheap.  The legacy
-per-user loop is kept as ``vectorized=False`` so fixed-seed replays recorded
-against it (the numeric-parity suite) remain reproducible.
+degrade exactly when enumerating the complement is cheap.
+
+Ranking candidates are drawn one user at a time by
+:meth:`NegativeSampler.sample_for_user`, the seed implementation's per-user
+loop.  The numeric-parity suite replays training negatives through it too,
+because its recorded losses were produced against that rng stream.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ class NegativeSampler:
     def sample_for_user(self, user: int, count: int) -> np.ndarray:
         """Sample ``count`` negatives for ``user`` (without replacement when possible)."""
         user = int(user)
+        if not 0 <= user < self.num_users:
+            raise ValueError(f"user index out of range [0, {self.num_users})")
         seen = self.interacted(user)
         available = self.num_items - len(seen)
         if available <= 0:
@@ -131,14 +136,11 @@ class NegativeSampler:
         self,
         users: np.ndarray,
         negatives_per_positive: int = 1,
-        vectorized: bool = True,
     ) -> np.ndarray:
         """Sample one batch of training negatives, one row per (positive, k) pair.
 
         Every row holds ``negatives_per_positive`` distinct unseen items of
-        that row's user, sorted ascending.  ``vectorized=False`` replays the
-        legacy per-user loop (identical rng consumption to the seed
-        implementation — the numeric-parity suite depends on it).
+        that row's user, sorted ascending.
         """
         users = np.asarray(users, dtype=np.int64)
         count = int(negatives_per_positive)
@@ -146,11 +148,6 @@ class NegativeSampler:
             raise ValueError("count must be positive")
         out = np.empty((users.shape[0], count), dtype=np.int64)
         if users.size == 0:
-            return out
-
-        if not vectorized:
-            for row, user in enumerate(users):
-                out[row] = self.sample_for_user(int(user), count)
             return out
 
         if users.min() < 0 or users.max() >= self.num_users:

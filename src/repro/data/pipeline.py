@@ -1,4 +1,4 @@
-"""Staged batch pipelines: per-epoch example materialisation behind an iterator.
+"""The batch pipeline: per-epoch example materialisation behind an iterator.
 
 The training engine consumes *joint steps* — ``{"a": Batch, "b": Batch}``
 dicts with one mini-batch per domain (either may be missing once its loader
@@ -7,170 +7,37 @@ module owns everything that happens before a step runs: per-epoch example
 materialisation, negative re-sampling, shuffling and batching, all hidden
 behind :meth:`DataPipeline.epoch`.
 
-Two implementations share that interface:
-
-* :class:`SerialDataPipeline` — batches are produced on the caller's thread,
-  exactly where the pre-engine trainer produced them.  This is the seed-parity
-  default: fixed-seed runs are bit-identical to the historical loop.
-* :class:`PrefetchDataPipeline` — a background worker thread runs the same
-  producer loop one epoch ahead through a bounded queue (double buffering),
-  so epoch-boundary materialisation and negative sampling overlap with the
-  training step instead of serialising with it.
-
-Determinism contract.  Each loader's rng is consumed *only* by the producer
-(epoch by epoch, in epoch order), never by the consumer — handing the
-producer loop to a worker thread therefore replays the exact serial rng
-stream, and the prefetched batch sequence is identical to the serial one
-under a fixed seed (gated in ``tests/test_data_pipeline.py``).  The worker
-may run ahead of an early-stopped consumer (drawing negatives for epochs that
-never train); that consumes loader rng the serial path would not have
-consumed, but nothing observable reads those generators afterwards.
-
-Failure contract.  Exceptions raised while materialising a batch (e.g. an
-invalid index from ``build_training_examples``) are captured with their
-traceback and re-raised on the consuming thread — the queue never hangs — and
-:meth:`close` (also run by the context manager) always leaves the worker
-thread dead, even when the consumer abandons the iterator mid-epoch.
+Batches are produced on demand on the training thread, exactly where the
+pre-engine trainer produced them, so fixed-seed runs are bit-identical to
+the historical loop.  Nothing runs ahead of the consumer: the vectorised
+negative sampler makes an epoch's preparation a fraction of a percent of
+its steps, too little to be worth hiding behind them.
 """
 
 from __future__ import annotations
 
-import queue
-import sys
-import threading
 import time
-import warnings
-import weakref
-from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional
 
 from .dataloader import Batch
 
-__all__ = [
-    "PipelineStats",
-    "DataPipeline",
-    "SerialDataPipeline",
-    "PrefetchDataPipeline",
-    "build_pipeline",
-]
-
-#: Queue item kinds used by the prefetch worker.
-_STEP, _ERROR = 0, 2
-
-
-def _release_worker(stop_event: threading.Event, step_queue: "queue.Queue") -> None:
-    """Unblock and stop a prefetch worker without a pipeline reference.
-
-    Registered through ``weakref.finalize`` when the worker starts, so a
-    pipeline that is abandoned without :meth:`DataPipeline.close` — a crashed
-    executor mid-epoch, a dropped trainer — still releases its thread at
-    garbage collection or interpreter exit instead of leaving it spinning
-    against a full queue.
-    """
-    stop_event.set()
-    try:
-        while True:
-            step_queue.get_nowait()
-    except queue.Empty:
-        pass
-
-
-def _queue_put(stop_event: threading.Event, step_queue: "queue.Queue", item) -> bool:
-    """Enqueue unless shutdown was requested; never blocks forever."""
-    while not stop_event.is_set():
-        try:
-            step_queue.put(item, timeout=0.05)
-            return True
-        except queue.Full:
-            continue
-    return False
-
-
-def _prefetch_worker(
-    pipeline_ref, stop_event, step_queue, num_epochs: int, start_epoch: int = 0
-) -> None:
-    """Worker-thread loop of :class:`PrefetchDataPipeline`.
-
-    A module-level function on purpose: the thread must not hold a strong
-    reference to the pipeline while it blocks on a full queue, otherwise an
-    abandoned pipeline could never be garbage collected and its
-    ``weakref.finalize`` cleanup could never fire.  The pipeline is re-taken
-    from the weakref only for the duration of one epoch's materialisation.
-    """
-    try:
-        for epoch in range(start_epoch, num_epochs):
-            pipeline = pipeline_ref()
-            if pipeline is None or stop_event.is_set():
-                return
-            # Materialise the whole epoch before enqueueing: the list build
-            # (not the queue put) is where the epoch-boundary cost lives,
-            # and it overlaps with the consumer's training steps.  Each
-            # epoch's prep time travels with its payload and is only folded
-            # into the stats when the consumer receives the epoch — prep
-            # spent on epochs an early-stopped run never trains must not
-            # inflate the recorded data cost.  The loader-rng snapshots
-            # bracketing materialisation travel with the payload too: only
-            # the worker may read the generators (it runs ahead of the
-            # consumer), and a checkpoint needs the state *this* epoch was
-            # drawn from, not wherever the lookahead currently is.
-            prep_before = pipeline.stats.prep_seconds
-            rng_before = pipeline._loader_rng_snapshot()
-            steps = list(pipeline._produce_epoch())
-            rng_after = pipeline._loader_rng_snapshot()
-            epoch_prep = pipeline.stats.prep_seconds - prep_before
-            pipeline.stats.prep_seconds = prep_before
-            del pipeline  # the put below may block; don't pin the pipeline
-            if not _queue_put(
-                stop_event,
-                step_queue,
-                (_STEP, epoch, steps, epoch_prep, rng_before, rng_after),
-            ):
-                return
-    except BaseException:  # noqa: BLE001 — forwarded verbatim to the consumer
-        # Hand the *live* exception (with its traceback) to the consumer
-        # instead of letting the queue starve it.
-        _queue_put(stop_event, step_queue, (_ERROR, -1, sys.exc_info()))
-
-
-@dataclass
-class PipelineStats:
-    """Where the data side of training spent its time.
-
-    ``prep_seconds`` is producer-side: materialising examples, drawing
-    negatives, slicing batches (for the prefetch pipeline this runs on the
-    worker thread and only counts epochs the consumer actually received —
-    lookahead work for epochs an early-stopped run never trains is excluded).  ``wait_seconds`` is consumer-side: how long the training
-    loop actually blocked waiting for the next step.  Serial pipelines have
-    ``wait_seconds == prep_seconds`` by construction; a well-overlapped
-    prefetch run has ``wait_seconds`` close to zero while ``prep_seconds``
-    stays the same — the difference is the wall time hidden behind training.
-    """
-
-    prep_seconds: float = 0.0
-    wait_seconds: float = 0.0
-    steps: int = 0
-    epochs_started: int = 0
+__all__ = ["DataPipeline"]
 
 
 class DataPipeline:
-    """Iterator protocol over joint per-step batch dicts, one epoch at a time.
-
-    Subclasses implement :meth:`epoch`; :meth:`close` must be idempotent and
-    safe to call mid-epoch.  Pipelines are context managers so the engine can
-    guarantee shutdown on any exit path.
-    """
+    """Joint per-step batch dicts from per-domain loaders, one epoch at a time."""
 
     def __init__(self, loaders: Mapping[str, object]) -> None:
         self.loaders = dict(loaders)
-        self.stats = PipelineStats()
+        #: Seconds spent producing batches (materialising examples, drawing
+        #: negatives, slicing); the training loop stands still for all of it.
+        self.prep_seconds = 0.0
         #: Loader rng states captured around the epoch currently being
         #: consumed: ``epoch_rng_before`` is the state the epoch's batch
         #: stream was generated from (a checkpoint that stores it plus a
         #: step count can replay the epoch exactly), ``epoch_rng_after`` is
         #: the state once the epoch was fully produced (the next epoch's
-        #: ``before``).  For the prefetch pipeline these are captured on the
-        #: worker thread around materialisation, so lookahead production
-        #: never leaks into the snapshot of the epoch being trained.
+        #: ``before``).
         self.epoch_rng_before: Optional[Dict[str, dict]] = None
         self.epoch_rng_after: Optional[Dict[str, dict]] = None
 
@@ -190,33 +57,21 @@ class DataPipeline:
                 states[key] = rng.bit_generator.state
         return states
 
-    # -- interface ------------------------------------------------------
-    def epoch(self, epoch_index: int) -> Iterator[Dict[str, Batch]]:
-        """Yield the joint steps of one epoch (must be consumed in order)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release background resources; idempotent."""
-
-    @property
-    def steps_per_epoch(self) -> int:
-        """Upper bound on joint steps per epoch (the longest loader)."""
-        return max((len(loader) for loader in self.loaders.values()), default=0)
-
-    # -- shared producer loop ------------------------------------------
-    def _produce_epoch(self, timed: bool = True) -> Iterator[Dict[str, Batch]]:
-        """One epoch of joint steps, replicating the historical trainer loop.
+    def epoch(self) -> Iterator[Dict[str, Batch]]:
+        """Yield the joint steps of one epoch, replicating the historical loop.
 
         Mirrors ``zip_longest`` over the per-domain loaders: steps continue
         until every loader is exhausted, exhausted domains are dropped from
         the step dict, and all-empty steps are skipped (never yielded).
+        Each call draws the next epoch from the loaders' rng streams.
         """
-        started = time.perf_counter() if timed else 0.0
+        self.epoch_rng_before = self._loader_rng_snapshot()
+        self.epoch_rng_after = None
+        started = time.perf_counter()
         iterators = {key: iter(loader) for key, loader in self.loaders.items()}
-        if timed:
-            self.stats.prep_seconds += time.perf_counter() - started
+        self.prep_seconds += time.perf_counter() - started
         while iterators:
-            started = time.perf_counter() if timed else 0.0
+            started = time.perf_counter()
             step: Dict[str, Batch] = {}
             for key in list(iterators):
                 batch = next(iterators[key], None)
@@ -224,209 +79,12 @@ class DataPipeline:
                     del iterators[key]
                 elif len(batch) > 0:
                     step[key] = batch
-            if timed:
-                self.stats.prep_seconds += time.perf_counter() - started
-            if not iterators and not step:
-                break
+            self.prep_seconds += time.perf_counter() - started
             if step:
-                self.stats.steps += 1
                 yield step
-
-    # -- context manager ------------------------------------------------
-    def __enter__(self) -> "DataPipeline":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class SerialDataPipeline(DataPipeline):
-    """Produce every batch on the consuming thread (seed-parity default)."""
-
-    def epoch(self, epoch_index: int) -> Iterator[Dict[str, Batch]]:
-        self.stats.epochs_started += 1
-        self.epoch_rng_before = self._loader_rng_snapshot()
-        self.epoch_rng_after = None
-        for step in self._produce_epoch():
-            # Serial production *is* the consumer's wait: everything the
-            # producer spent, the training loop stood still for.
-            self.stats.wait_seconds = self.stats.prep_seconds
-            yield step
-        self.stats.wait_seconds = self.stats.prep_seconds
         self.epoch_rng_after = self._loader_rng_snapshot()
 
 
-class PrefetchDataPipeline(DataPipeline):
-    """Epoch-granular double buffering on a background worker thread.
-
-    The expensive data work is *per epoch* (example materialisation, negative
-    re-sampling, the shuffle permutation) while per-step slicing is nearly
-    free, so the worker materialises **whole epochs** of joint steps and the
-    bounded queue holds epoch step-lists.  With ``depth=1`` (double
-    buffering) the worker is building epoch ``e+1`` while the trainer
-    consumes epoch ``e`` from memory — the epoch-boundary stall of the
-    serial pipeline disappears, and the consumer pays one queue round-trip
-    per epoch instead of per step.  A step-granular queue cannot hide this
-    cost: a worker that may only run a few *steps* ahead reaches the next
-    epoch boundary just before the consumer does.
-
-    Parameters
-    ----------
-    loaders:
-        Per-domain loaders; their rngs become worker-owned once the worker
-        starts (the deterministic handoff — see the module docstring).
-    num_epochs:
-        How many epochs the worker should produce in total.  The consumer may
-        stop earlier; :meth:`close` shuts the worker down regardless.
-    depth:
-        Queue capacity in *epochs* ahead of the one being consumed.
-    """
-
-    def __init__(
-        self,
-        loaders: Mapping[str, object],
-        num_epochs: int,
-        depth: int = 1,
-        start_epoch: int = 0,
-    ) -> None:
-        super().__init__(loaders)
-        if num_epochs < 1:
-            raise ValueError("num_epochs must be positive")
-        if depth < 1:
-            raise ValueError("depth must be positive")
-        if not 0 <= start_epoch < num_epochs:
-            raise ValueError("start_epoch must be in [0, num_epochs)")
-        self.num_epochs = int(num_epochs)
-        self.start_epoch = int(start_epoch)
-        self.depth = int(depth)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=self.depth)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._failure = None
-
-    # -- worker side ----------------------------------------------------
-    def _ensure_started(self) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=_prefetch_worker,
-                args=(
-                    weakref.ref(self),
-                    self._stop,
-                    self._queue,
-                    self.num_epochs,
-                    self.start_epoch,
-                ),
-                name="repro-data-prefetch",
-                daemon=True,
-            )
-            self._thread.start()
-            # Last-resort cleanup for abandoned pipelines; close() remains
-            # the deterministic path (and is idempotent with this).
-            weakref.finalize(self, _release_worker, self._stop, self._queue)
-
-    # -- consumer side --------------------------------------------------
-    def _get(self):
-        started = time.perf_counter()
-        try:
-            while True:
-                try:
-                    return self._queue.get(timeout=0.05)
-                except queue.Empty:
-                    if self._thread is not None and not self._thread.is_alive():
-                        # The worker died without posting anything (it only
-                        # exits silently after _stop or after its final
-                        # epoch was consumed).
-                        raise RuntimeError(
-                            "prefetch worker exited without completing the epoch"
-                        )
-        finally:
-            self.stats.wait_seconds += time.perf_counter() - started
-
-    def epoch(self, epoch_index: int) -> Iterator[Dict[str, Batch]]:
-        if epoch_index >= self.num_epochs:
-            raise IndexError(
-                f"epoch {epoch_index} outside the {self.num_epochs}-epoch plan",
-            )
-        if self._stop.is_set():
-            # A closed pipeline must fail fast: restarting the worker here
-            # would spin against the stop flag and silently burn loader rng.
-            raise RuntimeError("prefetch pipeline is closed")
-        self._ensure_started()
-        self.stats.epochs_started += 1
-        item = self._get()
-        if item[0] == _ERROR:
-            self._failure = item[2]
-            # close() is non-raising by contract (see below), so the
-            # worker's original exception — re-raised with its own traceback
-            # next — can never be masked by a shutdown failure.
-            self.close()
-            _, error, traceback = item[2]
-            raise error.with_traceback(traceback)
-        _, epoch, payload, epoch_prep, rng_before, rng_after = item
-        if epoch != epoch_index:
-            raise RuntimeError(
-                f"pipeline epochs must be consumed in order: got epoch {epoch} "
-                f"while iterating epoch {epoch_index}"
-            )
-        self.stats.prep_seconds += epoch_prep
-        self.epoch_rng_before = rng_before
-        self.epoch_rng_after = rng_after
-        yield from payload
-
-    def close(self) -> None:
-        """Stop the worker and drain the queue; idempotent, never raises.
-
-        ``close`` runs on every engine exit path *including* the one where
-        the worker already crashed and its exception is propagating — so a
-        shutdown problem here must never replace that traceback.  A worker
-        that ignores the stop flag past the deadline (it cannot: every queue
-        put is stop-checked) is reported as a warning, and the thread
-        handle is dropped either way so repeated closes stay no-ops.
-        """
-        self._stop.set()
-        thread = self._thread
-        if thread is None:
-            return
-        # The worker may be blocked on a full queue; drain until it exits.
-        deadline = time.monotonic() + 10.0
-        while thread.is_alive() and time.monotonic() < deadline:
-            try:
-                while True:
-                    self._queue.get_nowait()
-            except queue.Empty:
-                pass
-            thread.join(timeout=0.05)
-        if thread.is_alive():  # pragma: no cover — defensive, should not happen
-            warnings.warn(
-                "prefetch worker failed to shut down within 10s; "
-                "abandoning the daemon thread",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        self._thread = None
-
-
-def build_pipeline(
-    loaders: Mapping[str, object],
-    num_epochs: int,
-    prefetch_epochs: int = 0,
-    start_epoch: int = 0,
-) -> DataPipeline:
-    """Pipeline factory used by the training engine.
-
-    ``prefetch_epochs=0`` selects the serial (seed-parity) pipeline; any
-    positive value enables the background worker buffering that many epochs
-    ahead (``1`` = classic double buffering).  ``start_epoch`` makes the
-    producer begin at a later epoch (checkpoint resume); the serial pipeline
-    needs no configuration for this — its epochs are produced on demand.
-    """
-    if prefetch_epochs < 0:
-        raise ValueError("prefetch_epochs must be >= 0")
-    if prefetch_epochs == 0:
-        return SerialDataPipeline(loaders)
-    return PrefetchDataPipeline(
-        loaders,
-        num_epochs=num_epochs,
-        depth=prefetch_epochs,
-        start_epoch=start_epoch,
-    )
+#: The name perfbench (``perfbench/layers.py``) imports to wrap ``epoch``
+#: for its ``data.next`` span; it must stay this class.
+SerialDataPipeline = DataPipeline

@@ -83,7 +83,7 @@ class ModelResult:
     num_parameters: int
     train_seconds_per_batch: float
     wall_clock_seconds: float
-    #: Producer-side batch-preparation cost per step (epoch materialisation,
+    #: Batch-preparation cost per step (epoch materialisation,
     #: negative sampling, slicing) — the wall cost the step timing above
     #: deliberately excludes.
     data_seconds_per_batch: float = 0.0

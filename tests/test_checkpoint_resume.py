@@ -172,6 +172,38 @@ class TestResumeBitIdentity:
 
 
 # ----------------------------------------------------------------------
+# timing totals carry on across a resume
+# ----------------------------------------------------------------------
+def resume_from_first_epoch(task, tmp_path, mutate=None):
+    """Train with a checkpoint per epoch, then resume from the first one."""
+    overrides = dict(checkpoint_dir=str(tmp_path), checkpoint_every=1, checkpoint_keep=0)
+    make_trainer(task, **overrides).fit()
+    first = list_checkpoints(tmp_path)[0]
+    if mutate is not None:
+        rewrite_meta(first, mutate)
+    return make_trainer(task, **overrides).fit(resume_from=str(first))
+
+
+class TestResumeTimingTotals:
+    def test_restored_totals_are_added_to(self, task, tmp_path):
+        planted = {"data_prep_seconds_total": 1000.0, "fit_wall_seconds": 1000.0}
+        history = resume_from_first_epoch(
+            task, tmp_path, lambda meta: meta["history"].update(planted)
+        )
+        assert history.data_prep_seconds_total >= 1000.0
+        assert history.fit_wall_seconds >= 1000.0
+
+    def test_resumed_step_and_prep_fit_inside_the_wall(self, task, tmp_path):
+        # The invariant TestTimingAccounting holds for uninterrupted runs.
+        history = resume_from_first_epoch(task, tmp_path)
+        assert history.data_prep_seconds_total > 0
+        assert (
+            history.step_seconds_total + history.data_prep_seconds_total
+            <= history.fit_wall_seconds * 1.05 + 0.05
+        )
+
+
+# ----------------------------------------------------------------------
 # retention, cadence and config validation
 # ----------------------------------------------------------------------
 class TestCadenceAndRetention:
@@ -348,14 +380,16 @@ class TestWriteAtomicity:
 
 
 # ----------------------------------------------------------------------
-# run directories written before two trainer fields were retired
+# run directories written before trainer fields were retired
 # ----------------------------------------------------------------------
 class TestRetiredConfigFields:
     def test_old_run_directory_resumes_bit_identically(self, tmp_path, capsys):
-        """``scheduled_subgraph_plans`` and ``shm_exchange`` only chose between
-        numerically identical implementations and are gone from
-        ``TrainerConfig``.  A run directory whose ``run.json`` and checkpoint
-        fingerprint still name them must resume through ``repro resume``
+        """``scheduled_subgraph_plans``, ``shm_exchange`` and
+        ``prefetch_epochs`` only chose between numerically identical
+        implementations and are gone from ``TrainerConfig``.  A run directory
+        whose ``run.json`` and checkpoint fingerprint still name them, and
+        whose checkpoint history still holds the retired
+        ``data_wait_seconds_total``, must resume through ``repro resume``
         exactly like the uninterrupted run."""
         from repro.cli import main as cli_main
 
@@ -381,12 +415,21 @@ class TestRetiredConfigFields:
         train(old)
         first, last = list_checkpoints(old)
         last.unlink()  # the old run stopped after its first epoch
-        retired = {"scheduled_subgraph_plans": False, "shm_exchange": True}
+        retired = {
+            "scheduled_subgraph_plans": False,
+            "shm_exchange": True,
+            "prefetch_epochs": 1,
+        }
         run_file = old / "run.json"
         run = json.loads(run_file.read_text())
         run["trainer"].update(retired)
         run_file.write_text(json.dumps(run))
-        rewrite_meta(first, lambda meta: meta["config"].update(retired))
+
+        def written_by_an_older_version(meta):
+            meta["config"].update(retired)
+            meta["history"]["data_wait_seconds_total"] = 0.5
+
+        rewrite_meta(first, written_by_an_older_version)
 
         assert cli_main(["resume", "--checkpoint-dir", str(old)]) == 0
         assert "resumed from" in capsys.readouterr().out

@@ -1,28 +1,23 @@
-"""DataPipeline tests: serial semantics, prefetch determinism, failure paths.
+"""DataPipeline tests: step structure, determinism, laziness, rng snapshots,
+prep timing and failure paths.
 
-The prefetch worker's contracts are the interesting part: the batch stream
-must be byte-identical to the serial pipeline under a fixed seed (the
-deterministic rng handoff), mid-epoch producer exceptions must surface on the
-consuming thread with their original traceback instead of hanging the queue,
-and no worker thread may outlive the pipeline — whether training finished,
-stopped early or blew up.
+The pipeline produces every batch on the training thread, on demand: a
+fixed-seed stream is reproducible, nothing is drawn ahead of the consumer,
+the rng snapshots around an epoch replay it exactly (mid-epoch checkpoints
+depend on that), and a loader that fails mid-epoch fails ``fit()`` with its
+own exception.
 """
 
 import threading
+import time
 import traceback
 
 import numpy as np
 import pytest
 
-from repro.core import CDRTrainer, NMCDR, TrainerConfig
-from repro.data.dataloader import InteractionDataLoader
-from repro.data.pipeline import (
-    PrefetchDataPipeline,
-    SerialDataPipeline,
-    build_pipeline,
-)
-
-WORKER_NAME = "repro-data-prefetch"
+from repro.core import Callback, CDRTrainer, NMCDR, TrainerConfig
+from repro.data.dataloader import Batch, InteractionDataLoader
+from repro.data.pipeline import DataPipeline, SerialDataPipeline
 
 
 def make_loaders(task, batch_size=64, seed=9):
@@ -38,11 +33,7 @@ def make_loaders(task, batch_size=64, seed=9):
 
 
 def collect_epochs(pipeline, num_epochs):
-    epochs = []
-    with pipeline:
-        for epoch in range(num_epochs):
-            epochs.append(list(pipeline.epoch(epoch)))
-    return epochs
+    return [list(pipeline.epoch()) for _ in range(num_epochs)]
 
 
 def assert_same_stream(left, right):
@@ -57,8 +48,38 @@ def assert_same_stream(left, right):
                 np.testing.assert_array_equal(step_a[key].labels, step_b[key].labels)
 
 
-def live_workers():
-    return [t for t in threading.enumerate() if t.name == WORKER_NAME and t.is_alive()]
+def batch_of(size):
+    index = np.arange(size, dtype=np.int64)
+    return Batch(index, index, np.ones(size))
+
+
+class ListLoader:
+    """Loader stand-in without an rng: replays a fixed list of batches."""
+
+    def __init__(self, batches):
+        self.batches = batches
+
+    def __len__(self):
+        return len(self.batches)
+
+    def __iter__(self):
+        return iter(self.batches)
+
+
+class CountingLoader:
+    """Loader wrapper that counts the batches it has handed out."""
+
+    def __init__(self, loader):
+        self.loader = loader
+        self.yielded = 0
+
+    def __len__(self):
+        return len(self.loader)
+
+    def __iter__(self):
+        for batch in self.loader:
+            self.yielded += 1
+            yield batch
 
 
 class TestSerialPipeline:
@@ -66,123 +87,117 @@ class TestSerialPipeline:
         loaders = make_loaders(tiny_task)
         lengths = {key: len(loader) for key, loader in loaders.items()}
         assert lengths["a"] != lengths["b"], "fixture should exercise unequal loaders"
-        pipeline = SerialDataPipeline(loaders)
-        steps = list(pipeline.epoch(0))
+        pipeline = DataPipeline(loaders)
+        steps = list(pipeline.epoch())
         assert len(steps) == max(lengths.values())
         # The trailing steps only carry the longer domain.
         longer = max(lengths, key=lengths.get)
         for step in steps[min(lengths.values()) :]:
             assert set(step) == {longer}
-        assert pipeline.stats.steps == len(steps)
-        assert pipeline.stats.prep_seconds > 0
-        assert pipeline.stats.wait_seconds == pipeline.stats.prep_seconds
+        assert pipeline.prep_seconds > 0
 
-    def test_steps_per_epoch_upper_bound(self, tiny_task):
+    def test_serial_name_is_the_pipeline_class(self):
+        # perfbench wraps ``SerialDataPipeline.epoch`` for its data.next span.
+        assert SerialDataPipeline is DataPipeline
+
+    def test_empty_batches_and_all_empty_steps_are_skipped(self):
+        loaders = {
+            "a": ListLoader([batch_of(2), batch_of(0), batch_of(0), batch_of(3)]),
+            "b": ListLoader([batch_of(4), batch_of(0)]),
+        }
+        steps = list(DataPipeline(loaders).epoch())
+        # Rows 2 and 3 hold no example in either domain and are never yielded.
+        assert [sorted(step) for step in steps] == [["a", "b"], ["a"]]
+        assert [len(batch) for batch in steps[0].values()] == [2, 4]
+        assert len(steps[1]["a"]) == 3
+
+    def test_same_seed_same_stream(self, tiny_task):
+        first = collect_epochs(DataPipeline(make_loaders(tiny_task)), 3)
+        second = collect_epochs(DataPipeline(make_loaders(tiny_task)), 3)
+        assert_same_stream(first, second)
+
+    def test_each_epoch_draws_fresh_batches(self, tiny_task):
+        first, second = collect_epochs(DataPipeline(make_loaders(tiny_task)), 2)
+        assert len(first) == len(second)
+        for key in ("a", "b"):
+            rows = [
+                np.concatenate(
+                    [
+                        np.stack([step[key].users, step[key].items, step[key].labels], axis=1)
+                        for step in steps
+                        if key in step
+                    ]
+                )
+                for steps in (first, second)
+            ]
+            # Re-shuffled every epoch...
+            assert not np.array_equal(rows[0][:, 0], rows[1][:, 0])
+            # ...over the same positives, with re-drawn negatives.
+            positives = [np.unique(epoch[epoch[:, 2] == 1], axis=0) for epoch in rows]
+            negatives = [np.unique(epoch[epoch[:, 2] == 0], axis=0) for epoch in rows]
+            np.testing.assert_array_equal(positives[0], positives[1])
+            assert not np.array_equal(negatives[0], negatives[1])
+
+    def test_nothing_runs_ahead_of_the_consumer(self, tiny_task):
+        loaders = {
+            key: CountingLoader(loader) for key, loader in make_loaders(tiny_task).items()
+        }
+        assert min(len(loader) for loader in loaders.values()) >= 3
+        pipeline = DataPipeline(loaders)
+        steps = pipeline.epoch()
+        assert [loader.yielded for loader in loaders.values()] == [0, 0]
+        for consumed in range(1, 4):
+            next(steps)
+            assert [loader.yielded for loader in loaders.values()] == [consumed] * 2
+
+    def test_prep_seconds_accumulate_across_epochs(self, tiny_task):
+        pipeline = DataPipeline(make_loaders(tiny_task))
+        totals = []
+        for _ in range(3):
+            list(pipeline.epoch())
+            totals.append(pipeline.prep_seconds)
+        assert 0 < totals[0] < totals[1] < totals[2]
+
+    def test_prep_seconds_exclude_the_consumers_time(self):
+        loaders = {"a": ListLoader([batch_of(2), batch_of(2)])}
+        pipeline = DataPipeline(loaders)
+        for _ in pipeline.epoch():
+            time.sleep(0.2)
+        # The two 0.2 s holds are the step's time, not the pipeline's.
+        assert 0 < pipeline.prep_seconds < 0.2
+
+
+class TestEpochRngSnapshots:
+    def test_before_replays_the_epoch(self, tiny_task):
         loaders = make_loaders(tiny_task)
-        pipeline = SerialDataPipeline(loaders)
-        assert pipeline.steps_per_epoch == max(len(loader) for loader in loaders.values())
+        pipeline = DataPipeline(loaders)
+        list(pipeline.epoch())
+        second = list(pipeline.epoch())
+        for key, state in pipeline.epoch_rng_before.items():
+            loaders[key]._rng.bit_generator.state = state
+        assert_same_stream([second], [list(pipeline.epoch())])
 
-
-class TestPrefetchDeterminism:
-    def test_prefetched_stream_identical_to_serial(self, tiny_task):
-        serial = SerialDataPipeline(make_loaders(tiny_task))
-        prefetched = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=3, depth=1)
-        assert_same_stream(collect_epochs(serial, 3), collect_epochs(prefetched, 3))
-
-    def test_deeper_buffering_still_identical(self, tiny_task):
-        serial = SerialDataPipeline(make_loaders(tiny_task))
-        prefetched = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=4, depth=3)
-        assert_same_stream(collect_epochs(serial, 4), collect_epochs(prefetched, 4))
-
-    def test_factory_selects_implementation(self, tiny_task):
+    def test_after_is_set_once_the_epoch_is_fully_produced(self, tiny_task):
         loaders = make_loaders(tiny_task)
-        assert isinstance(build_pipeline(loaders, 2, 0), SerialDataPipeline)
-        pipeline = build_pipeline(loaders, 2, 2)
-        assert isinstance(pipeline, PrefetchDataPipeline)
-        assert pipeline.depth == 2
-        pipeline.close()
-        with pytest.raises(ValueError):
-            build_pipeline(loaders, 2, -1)
+        pipeline = DataPipeline(loaders)
+        steps = pipeline.epoch()
+        next(steps)
+        assert pipeline.epoch_rng_after is None
+        for _ in steps:
+            pass
+        after = pipeline.epoch_rng_after
+        assert after == {key: loader._rng.bit_generator.state for key, loader in loaders.items()}
+        next(pipeline.epoch())
+        assert pipeline.epoch_rng_before == after
+        assert pipeline.epoch_rng_after is None
 
-
-class TestPrefetchLifecycle:
-    def test_worker_dead_after_full_consumption(self, tiny_task):
-        pipeline = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=2, depth=1)
-        collect_epochs(pipeline, 2)
-        assert not live_workers()
-
-    def test_worker_dead_after_abandoned_epoch(self, tiny_task):
-        pipeline = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=5, depth=1)
-        iterator = pipeline.epoch(0)
-        next(iterator)  # consume a single step, then walk away mid-epoch
-        pipeline.close()
-        assert not live_workers()
-
-    def test_close_is_idempotent(self, tiny_task):
-        pipeline = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=2, depth=1)
-        next(pipeline.epoch(0))
-        pipeline.close()
-        pipeline.close()
-        assert not live_workers()
-
-    def test_close_before_start_and_after_exhaustion(self, tiny_task):
-        never_started = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=2)
-        never_started.close()
-        never_started.close()
-        pipeline = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=1, depth=1)
-        collect_epochs(pipeline, 1)
-        pipeline.close()
-        pipeline.close()
-        assert not live_workers()
-
-    def test_abandoned_pipeline_releases_worker_on_gc(self, tiny_task):
-        """The weakref finalizer stops the thread when close() never ran.
-
-        This is the safety net for the sharded path: an executor crash
-        mid-epoch unwinds the trainer without necessarily reaching close(),
-        and the worker must not keep spinning against the full queue.
-        """
-        import gc
-        import time as time_module
-
-        pipeline = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=8, depth=1)
-        iterator = pipeline.epoch(0)
-        next(iterator)
-        assert live_workers()
-        del iterator, pipeline
-        gc.collect()
-        deadline = time_module.monotonic() + 5.0
-        while live_workers() and time_module.monotonic() < deadline:
-            time_module.sleep(0.02)
-        assert not live_workers()
-
-    def test_prep_time_counts_only_consumed_epochs(self, tiny_task):
-        """Lookahead prep for epochs an early stop never trains is excluded."""
-        pipeline = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=4, depth=3)
-        with pipeline:
-            list(pipeline.epoch(0))
-            after_one = pipeline.stats.prep_seconds
-            assert after_one > 0
-            list(pipeline.epoch(1))
-            assert pipeline.stats.prep_seconds > after_one
-        # Worker very likely pre-built epochs 2-3 before close; their prep
-        # must not have leaked into the stats.
-        assert pipeline.stats.epochs_started == 2
-
-    def test_closed_pipeline_fails_fast(self, tiny_task):
-        pipeline = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=3, depth=1)
-        next(pipeline.epoch(0))
-        pipeline.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            next(pipeline.epoch(1))
-
-    def test_epochs_must_be_consumed_in_order(self, tiny_task):
-        pipeline = PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=3, depth=1)
-        with pipeline:
-            with pytest.raises(RuntimeError, match="in order"):
-                next(pipeline.epoch(2))
-        with pytest.raises(IndexError):
-            next(PrefetchDataPipeline(make_loaders(tiny_task), num_epochs=1).epoch(5))
+    def test_loaders_without_rng_are_left_out(self, tiny_task):
+        loaders = make_loaders(tiny_task)
+        loaders["b"] = ListLoader([batch_of(3)])
+        pipeline = DataPipeline(loaders)
+        list(pipeline.epoch())
+        assert set(pipeline.epoch_rng_before) == {"a"}
+        assert set(pipeline.epoch_rng_after) == {"a"}
 
 
 class ExplodingLoader:
@@ -203,55 +218,74 @@ class ExplodingLoader:
 
 
 class TestExceptionPropagation:
-    def test_worker_exception_reaches_consumer_with_traceback(self, tiny_task):
+    def test_loader_exception_keeps_its_traceback(self, tiny_task):
         loaders = make_loaders(tiny_task)
-        loaders["a"] = ExplodingLoader(loaders["a"])
-        pipeline = PrefetchDataPipeline(loaders, num_epochs=2, depth=1)
+        loaders["a"] = ExplodingLoader(loaders["a"], explode_at=1)
+        pipeline = DataPipeline(loaders)
+        steps = pipeline.epoch()
+        # The step before the failure is delivered whole.
+        assert set(next(steps)) == {"a", "b"}
         with pytest.raises(IndexError, match="out of range") as excinfo:
-            collect_epochs(pipeline, 2)
-        # The original producer frame survives the thread handoff.
-        frames = traceback.format_tb(excinfo.value.__traceback__)
-        assert any("ExplodingLoader" in frame or "__iter__" in frame for frame in frames)
-        assert not live_workers()
+            next(steps)
+        frames = traceback.extract_tb(excinfo.value.__traceback__)
+        assert any(
+            frame.name == "__iter__" and frame.filename == __file__ for frame in frames
+        )
+        assert pipeline.epoch_rng_after is None
 
     def test_invalid_examples_surface_through_trainer_fit(self, tiny_task, tiny_nmcdr_config):
-        """End to end: a poisoned split fails fast instead of hanging the queue."""
+        """End to end: a poisoned loader fails ``fit()`` with its own error."""
         model = NMCDR(tiny_task, tiny_nmcdr_config)
         trainer = CDRTrainer(
             model,
             tiny_task,
-            TrainerConfig(num_epochs=2, batch_size=64, prefetch_epochs=1, eval_every=0),
+            TrainerConfig(num_epochs=2, batch_size=64, eval_every=0),
         )
         trainer._loaders["b"] = ExplodingLoader(trainer._loaders["b"], explode_at=0)
         with pytest.raises(IndexError, match="out of range"):
             trainer.fit()
-        assert not live_workers()
 
 
-class TestTrainerThreadHygiene:
-    def test_no_live_worker_after_fit_returns(self, tiny_task, tiny_nmcdr_config):
-        model = NMCDR(tiny_task, tiny_nmcdr_config)
-        trainer = CDRTrainer(
-            model,
+class ThreadRecorder(Callback):
+    """Records, after every step, the running thread and the live threads."""
+
+    def __init__(self):
+        self.steps = []
+
+    def on_step_end(self, context, step, loss):
+        self.steps.append((threading.get_ident(), frozenset(threading.enumerate())))
+
+
+class TestTrainerThreads:
+    def make_trainer(self, tiny_task, tiny_nmcdr_config, recorder, num_epochs):
+        return CDRTrainer(
+            NMCDR(tiny_task, tiny_nmcdr_config),
             tiny_task,
-            TrainerConfig(num_epochs=2, batch_size=128, prefetch_epochs=1, eval_every=0),
+            TrainerConfig(num_epochs=num_epochs, batch_size=128, eval_every=0),
+            callbacks=[recorder],
         )
+
+    def test_fit_runs_every_step_on_the_calling_thread(self, tiny_task, tiny_nmcdr_config):
+        recorder = ThreadRecorder()
+        trainer = self.make_trainer(tiny_task, tiny_nmcdr_config, recorder, num_epochs=2)
+        before = frozenset(threading.enumerate())
         history = trainer.fit()
-        assert history.num_batches > 0
-        assert not live_workers()
+        assert len(recorder.steps) == history.num_batches > 0
+        assert {ident for ident, _ in recorder.steps} == {threading.get_ident()}
+        # fit() starts no thread of its own, during the run or after it.
+        assert all(live <= before for _, live in recorder.steps)
+        assert frozenset(threading.enumerate()) <= before
 
-    def test_no_live_worker_after_fit_raises(self, tiny_task, tiny_nmcdr_config):
-        model = NMCDR(tiny_task, tiny_nmcdr_config)
-        trainer = CDRTrainer(
-            model,
-            tiny_task,
-            TrainerConfig(num_epochs=3, batch_size=128, prefetch_epochs=1, eval_every=0),
-        )
+    def test_interrupt_in_a_step_propagates_out_of_fit(self, tiny_task, tiny_nmcdr_config):
+        recorder = ThreadRecorder()
+        trainer = self.make_trainer(tiny_task, tiny_nmcdr_config, recorder, num_epochs=3)
 
         def explode(batches):
             raise KeyboardInterrupt
 
-        model.compute_batch_loss = explode
+        trainer.model.compute_batch_loss = explode
+        before = frozenset(threading.enumerate())
         with pytest.raises(KeyboardInterrupt):
             trainer.fit()
-        assert not live_workers()
+        assert recorder.steps == []
+        assert frozenset(threading.enumerate()) <= before

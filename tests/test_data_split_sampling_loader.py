@@ -114,6 +114,30 @@ class TestNegativeSampler:
         with pytest.raises(ValueError):
             sampler.sample_for_user(0, 1)
 
+    @pytest.mark.parametrize("user", [-1, 2, 5])
+    def test_out_of_range_user_raises_before_drawing(self, user):
+        domain = make_domain(num_users=2, num_items=6, interactions_per_user=2)
+        rng = np.random.default_rng(0)
+        sampler = NegativeSampler(domain, rng=rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"user index out of range \[0, 2\)"):
+            sampler.sample_for_user(user, 3)
+        assert rng.bit_generator.state == state
+        # Same error as the batch sampler gives for the same user.
+        with pytest.raises(ValueError, match=r"user index out of range \[0, 2\)"):
+            sampler.sample_pairs(np.array([user]), negatives_per_positive=3)
+
+    def test_sample_for_user_is_deterministic_and_sorted(self):
+        # The per-user draw behind ranking candidates: one seed, one stream.
+        domain = make_domain()
+        draws = []
+        for _ in range(2):
+            sampler = NegativeSampler(domain, rng=np.random.default_rng(9))
+            draws.append([sampler.sample_for_user(user, 3) for user in range(domain.num_users)])
+        for first, second in zip(*draws):
+            assert np.array_equal(first, second)
+            assert np.all(first[1:] > first[:-1])
+
     def test_sample_pairs_shape(self):
         domain = make_domain()
         sampler = NegativeSampler(domain, rng=np.random.default_rng(0))
@@ -134,10 +158,10 @@ class TestVectorizedNegativeSampler:
         domain = make_domain(num_users=8, num_items=30, interactions_per_user=6)
         sampler = NegativeSampler(domain, rng=np.random.default_rng(1))
         users = np.repeat(np.arange(8), 5)
-        out = sampler.sample_pairs(users, negatives_per_positive=3, vectorized=True)
+        out = sampler.sample_pairs(users, negatives_per_positive=3)
         assert out.shape == (40, 3)
         self._assert_valid(sampler, users, out)
-        # rows come back sorted, matching the legacy per-user convention
+        # rows come back sorted, matching sample_for_user's convention
         assert np.all(out[:, 1:] > out[:, :-1])
 
     def test_exact_fallback_rows_are_unseen_and_distinct(self):
@@ -150,7 +174,7 @@ class TestVectorizedNegativeSampler:
         )
         sampler = NegativeSampler(domain, rng=np.random.default_rng(3))
         users = np.repeat(np.arange(3), 20)
-        out = sampler.sample_pairs(users, negatives_per_positive=2, vectorized=True)
+        out = sampler.sample_pairs(users, negatives_per_positive=2)
         self._assert_valid(sampler, users, out)
 
     def test_both_paths_are_deterministic_under_a_seed(self):
@@ -163,7 +187,7 @@ class TestVectorizedNegativeSampler:
             users = np.repeat(np.arange(4), 8)
             draws = [
                 NegativeSampler(domain, rng=np.random.default_rng(7)).sample_pairs(
-                    users, negatives_per_positive=2, vectorized=True
+                    users, negatives_per_positive=2
                 )
                 for _ in range(2)
             ]
@@ -173,7 +197,7 @@ class TestVectorizedNegativeSampler:
         domain = make_domain(num_users=2, num_items=25, interactions_per_user=5, seed=4)
         sampler = NegativeSampler(domain, rng=np.random.default_rng(5))
         users = np.zeros(4000, dtype=np.int64)
-        out = sampler.sample_pairs(users, negatives_per_positive=1, vectorized=True)
+        out = sampler.sample_pairs(users, negatives_per_positive=1)
         counts = np.bincount(out.ravel(), minlength=domain.num_items)
         unseen = np.setdiff1d(
             np.arange(domain.num_items),
@@ -192,7 +216,7 @@ class TestVectorizedNegativeSampler:
         )
         sampler = NegativeSampler(domain, rng=np.random.default_rng(8))
         users = np.zeros(3000, dtype=np.int64)
-        out = sampler.sample_pairs(users, negatives_per_positive=1, vectorized=True)
+        out = sampler.sample_pairs(users, negatives_per_positive=1)
         counts = np.bincount(out.ravel(), minlength=domain.num_items)
         unseen = np.setdiff1d(
             np.arange(domain.num_items),
@@ -201,16 +225,6 @@ class TestVectorizedNegativeSampler:
         assert counts[list(sampler.interacted(0))].sum() == 0
         expected = len(users) / unseen.size
         assert np.all(np.abs(counts[unseen] - expected) < 5 * np.sqrt(expected))
-
-    def test_legacy_path_still_matches_per_user_draws(self):
-        domain = make_domain()
-        users = np.array([0, 1, 2, 3])
-        legacy = NegativeSampler(domain, rng=np.random.default_rng(9)).sample_pairs(
-            users, negatives_per_positive=2, vectorized=False
-        )
-        reference = NegativeSampler(domain, rng=np.random.default_rng(9))
-        expected = np.stack([reference.sample_for_user(int(u), 2) for u in users])
-        assert np.array_equal(legacy, expected)
 
     def test_saturated_user_raises(self):
         domain = DomainData(
@@ -224,11 +238,7 @@ class TestVectorizedNegativeSampler:
         )
         sampler = NegativeSampler(domain)
         with pytest.raises(ValueError):
-            sampler.sample_pairs(
-                np.array([0]),
-                negatives_per_positive=1,
-                vectorized=True,
-            )
+            sampler.sample_pairs(np.array([0]), negatives_per_positive=1)
 
 
 class TestRankingCandidates:
@@ -281,6 +291,26 @@ class TestDataLoader:
         users, items, labels = build_training_examples(split, negatives_per_positive=1)
         assert labels.mean() == pytest.approx(0.5)
         assert users.shape == items.shape == labels.shape
+
+    def test_training_examples_replay_under_the_same_rng(self):
+        split = leave_one_out_split(make_domain())
+        first = build_training_examples(split, 2, rng=np.random.default_rng(4))
+        second = build_training_examples(split, 2, rng=np.random.default_rng(4))
+        for left, right in zip(first, second):
+            assert np.array_equal(left, right)
+
+    def test_training_examples_replay_with_a_reused_sampler(self):
+        # Building the sampler draws nothing, so a sampler holding the rng
+        # (as the loader keeps one across epochs) replays the same stream.
+        split = leave_one_out_split(make_domain())
+        fresh = build_training_examples(split, 2, rng=np.random.default_rng(4))
+        sampler = NegativeSampler(split.domain, rng=np.random.default_rng(4))
+        reused = build_training_examples(split, 2, sampler=sampler)
+        for left, right in zip(fresh, reused):
+            assert np.array_equal(left, right)
+        # A second epoch through the same sampler draws new negatives.
+        again = build_training_examples(split, 2, sampler=sampler)
+        assert not np.array_equal(reused[1], again[1])
 
     def test_loader_covers_all_examples(self):
         domain = make_domain()

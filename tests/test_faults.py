@@ -30,12 +30,18 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import CDRTrainer, NMCDR, NMCDRConfig, TrainerConfig, build_task, faults
+from repro.core import (
+    Callback,
+    CDRTrainer,
+    NMCDR,
+    NMCDRConfig,
+    TrainerConfig,
+    build_task,
+    faults,
+)
 from repro.core.checkpoint import latest_checkpoint
 from repro.core.sharded import WorkerDied, WorkerTimeout
 from repro.data import load_scenario, preprocess_scenario
-from repro.data.dataloader import InteractionDataLoader
-from repro.data.pipeline import PrefetchDataPipeline
 
 pytestmark = pytest.mark.faults
 
@@ -356,40 +362,47 @@ class TestTraceStatsAcrossRespawn:
 
 
 # ----------------------------------------------------------------------
-# satellite S2: pipeline close() never masks a worker crash
+# a data loader failing under the sharded executors
 # ----------------------------------------------------------------------
 class ExplodingLoader:
-    def __init__(self, loader):
+    """Loader whose iteration fails after ``explode_at`` batches."""
+
+    def __init__(self, loader, explode_at):
         self.loader = loader
+        self.explode_at = explode_at
 
     def __len__(self):
         return len(self.loader)
 
     def __iter__(self):
-        raise IndexError("injected loader failure")
+        for index, batch in enumerate(self.loader):
+            if index == self.explode_at:
+                raise IndexError("injected loader failure")
+            yield batch
 
 
-class TestPrefetchCloseAfterCrash:
-    def test_close_is_silent_and_idempotent_after_crash(self, task):
-        rng = np.random.default_rng(9)
-        loaders = {
-            key: InteractionDataLoader(
-                task.domain(key).split,
-                batch_size=64,
-                rng=np.random.default_rng(rng.integers(0, 2**32 - 1)),
-            )
-            for key in ("a", "b")
-        }
-        loaders["a"] = ExplodingLoader(loaders["a"])
-        pipeline = PrefetchDataPipeline(loaders, num_epochs=2, depth=1)
-        # The worker's original exception surfaces on the consuming thread...
+class StepCounter(Callback):
+    def __init__(self):
+        self.steps = 0
+
+    def on_step_end(self, context, step, loss):
+        self.steps = step
+
+
+class TestLoaderCrash:
+    @pytest.mark.parametrize("pool_sharding", [False, True])
+    def test_loader_crash_fails_fit_and_leaks_nothing(self, task, pool_sharding):
+        # The batch stream fails on the training thread after the workers
+        # have run steps: fit() raises the loader's own error, and closing
+        # the executor on the way out reaps every worker and segment.
+        trainer = make_trainer(task, pool_sharding=pool_sharding)
+        counter = StepCounter()
+        trainer._callbacks.append(counter)
+        trainer._loaders["a"] = ExplodingLoader(trainer._loaders["a"], explode_at=2)
         with pytest.raises(IndexError, match="injected loader failure"):
-            for _ in pipeline.epoch(0):
-                pass
-        # ...and close() afterwards is a silent no-op, however often it is
-        # called — it must never raise over the crash it just observed.
-        pipeline.close()
-        pipeline.close()
+            trainer.fit()
+        assert counter.steps == 2
+        assert_no_leaks()
 
 
 # ----------------------------------------------------------------------

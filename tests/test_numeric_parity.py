@@ -10,7 +10,7 @@ merely approximately right.
 import numpy as np
 
 from repro.core import NMCDR, NMCDRConfig, build_task
-from repro.data import load_scenario
+from repro.data import NegativeSampler, load_scenario
 from repro.data.dataloader import InteractionDataLoader
 from repro.optim import Adam
 from repro.tensor import engine
@@ -26,13 +26,31 @@ SEED_LOSSES = [
 ]
 
 
-def run_smoke_losses(num_steps: int = 6, sampled_subgraphs: bool = False):
-    """Replay the recorded training run and return the per-step losses.
+class PerUserNegativeSampler(NegativeSampler):
+    """The seed implementation's training negatives: one ``sample_for_user``
+    call per positive, in row order.
 
-    ``vectorized_negatives=False`` pins the loaders to the legacy per-user
-    negative-sampling loop: the recorded losses were produced against its rng
-    stream, and this suite checks *engine* parity, not sampler equality.
+    The recorded losses were produced against this rng stream, and this
+    suite checks *engine* parity, not sampler equality; production loaders
+    draw with the vectorised ``NegativeSampler.sample_pairs`` instead.
     """
+
+    def sample_pairs(self, users, negatives_per_positive=1):
+        out = np.empty((len(users), negatives_per_positive), dtype=np.int64)
+        for row, user in enumerate(users):
+            out[row] = self.sample_for_user(int(user), negatives_per_positive)
+        return out
+
+
+def per_user_loader(split, batch_size, rng):
+    """A production loader whose epochs draw negatives per user."""
+    loader = InteractionDataLoader(split, batch_size=batch_size, rng=rng)
+    loader._sampler = PerUserNegativeSampler(split.domain, rng=loader._rng)
+    return loader
+
+
+def run_smoke_losses(num_steps: int = 6, sampled_subgraphs: bool = False):
+    """Replay the recorded training run and return the per-step losses."""
     scenario = load_scenario("cloth_sport", scale=0.3, seed=13)
     task = build_task(scenario, head_threshold=7)
     model = NMCDR(task, NMCDRConfig(embedding_dim=16, seed=3))
@@ -40,11 +58,8 @@ def run_smoke_losses(num_steps: int = 6, sampled_subgraphs: bool = False):
         model.configure_subgraph_sampling(True)
     optimizer = Adam(model.parameters(), lr=1e-3)
     loaders = {
-        key: InteractionDataLoader(
-            task.domain(key).split,
-            batch_size=128,
-            rng=np.random.default_rng(100 + i),
-            vectorized_negatives=False,
+        key: per_user_loader(
+            task.domain(key).split, batch_size=128, rng=np.random.default_rng(100 + i)
         )
         for i, key in enumerate(("a", "b"))
     }

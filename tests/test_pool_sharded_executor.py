@@ -501,18 +501,6 @@ class TestPoolShardedEquivalence:
         assert replicated.epoch_losses == pooled.epoch_losses
         assert replicated.validation_metrics == pooled.validation_metrics
 
-    def test_prefetched_pipeline_composes_with_pool_sharding(self, task):
-        plain = fit_history(task, executor="sharded", n_shards=2, pool_sharding=True)
-        prefetched = fit_history(
-            task,
-            executor="sharded",
-            n_shards=2,
-            pool_sharding=True,
-            prefetch_epochs=1,
-        )
-        assert plain.epoch_losses == prefetched.epoch_losses
-        assert plain.validation_metrics == prefetched.validation_metrics
-
 
 # ----------------------------------------------------------------------
 # per-step edge cases through the real executor

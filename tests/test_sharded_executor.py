@@ -220,14 +220,6 @@ class TestShardedEquivalence:
         assert first.epoch_losses == second.epoch_losses
         assert first.validation_metrics == second.validation_metrics
 
-    def test_prefetched_pipeline_composes_with_sharding(self, task):
-        plain = fit_history(task, "NMCDR", executor="sharded", n_shards=2)
-        prefetched = fit_history(
-            task, "NMCDR", executor="sharded", n_shards=2, prefetch_epochs=1
-        )
-        assert plain.epoch_losses == prefetched.epoch_losses
-        assert plain.validation_metrics == prefetched.validation_metrics
-
 
 # ----------------------------------------------------------------------
 # partitioning edge cases through the real executor

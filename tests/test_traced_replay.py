@@ -5,9 +5,9 @@ The contract gated here (``repro.tensor.trace``):
 * **Bit-identity in float64** — with ``TrainerConfig(traced_steps=True)``
   training produces bit-identical epoch losses, validation metrics and
   final parameters to eager execution, for NMCDR and the graph baselines,
-  across all three executors, composing with sampled plans, scheduled
-  plans and prefetch.  This is an *exactness* guarantee: replay re-runs
-  the recorded kernels with the same arithmetic in the same order.
+  across all three executors, composing with sampled plans.  This is an
+  *exactness* guarantee: replay re-runs the recorded kernels with the same
+  arithmetic in the same order.
 * **Guards, not faith** — a replayed step re-checks the op sequence, the
   operand wiring and operand dtypes; batch *shapes* may vary (slots
   rebind), anything structural falls back, rewinds the model's rng
@@ -24,6 +24,7 @@ from repro.baselines import build_model
 from repro.core import CDRTrainer, NMCDR, NMCDRConfig, TrainerConfig, build_task
 from repro.core.engine import StepExecutor
 from repro.data import load_scenario
+from repro.data.pipeline import DataPipeline
 from repro.tensor import Tensor, ops
 from repro.tensor import engine as tensor_engine
 from repro.tensor.trace import TraceRuntime, TraceStats, check_traceable
@@ -79,12 +80,8 @@ class TestSerialBitIdentity:
     def test_nmcdr_full_graph(self, task):
         assert_bit_identical(task)
 
-    def test_nmcdr_sampled_scheduled_prefetch(self, task):
-        assert_bit_identical(
-            task,
-            sampled_subgraph_training=True,
-            prefetch_epochs=1,
-        )
+    def test_nmcdr_sampled(self, task):
+        assert_bit_identical(task, sampled_subgraph_training=True)
 
     @pytest.mark.parametrize("model_name", ["GA-DTCDR", "HeroGraph"])
     def test_graph_baselines_sampled(self, task, model_name):
@@ -98,8 +95,7 @@ class TestSerialBitIdentity:
         )
         trainer = CDRTrainer(model, task, config)
         engine = trainer.build_engine()
-        pipeline = engine.build_pipeline(trainer._loaders)
-        engine.fit(pipeline)
+        engine.fit(DataPipeline(trainer._loaders))
         stats = engine.executor.trace_stats
         assert stats is not None
         assert stats["hits"] > 0
