@@ -495,448 +495,6 @@ def test_bench_sharded_scaling(benchmark):
         )
 
 
-POOL_SWEEP = (64, 512, 2048)
-
-
-def _pool_step_config(pool_sharding, batch_size):
-    return TrainerConfig(
-        num_epochs=1,
-        batch_size=batch_size,
-        seed=5,
-        sampled_subgraph_training=True,
-        subgraph_num_hops=1,
-        subgraph_fanout=8,
-        executor="sharded",
-        n_shards=2,
-        pool_sharding=pool_sharding,
-    )
-
-
-def _run_sharded_pool_scaling():
-    """Per-shard cost vs matching-pool size: replicated vs pool-sharded.
-
-    The replicated executor folds the whole pool closure into every shard's
-    subgraph, so per-shard work carries an O(pool) term — the Amdahl floor
-    called out in ROADMAP.  Pool sharding splits the closure across shards
-    and exchanges only the pool users' encoder activations, so per-shard
-    work follows ``batch + pool/n_shards``.  The record carries two
-    complementary views:
-
-    * **structural** (deterministic, machine-independent): the largest
-      shard's subgraph node count under each mode — the quantity per-shard
-      encoder cost follows;
-    * **measured**: fit walls and per-step walls of short n_shards=2 runs
-      plus the parent's gather/scatter overhead, honest about ``cpu_count``
-      (on a single-core container pool sharding still wins at large pools
-      because the pool closure is encoded once instead of ``n_shards``
-      times).
-
-    The float64 equivalence canary (exactness settings, small scale) records
-    whether pool-sharded training matches the replicated executor at the
-    PR-4 tolerances: metrics bit-identical, epoch losses ≤ 1e-11 rtol.
-    """
-    import os
-
-    from repro.core.subgraph_plan import (
-        build_pool_exchange,
-        build_pool_sharded_plan,
-        build_subgraph_plan_from_pools,
-        sample_matching_pools,
-    )
-    from repro.data.shard import split_joint_batch
-    from repro.graph import MatchingNeighborSampler
-    from repro.profiling import profiler
-
-    scale = SCALING_SCALES[-1]
-    batch_size = 512
-    max_steps = 10
-    n_shards = 2
-    cpu_count = (
-        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    )
-
-    def fit(pool_size, pool_sharding, task):
-        model = NMCDR(
-            task,
-            NMCDRConfig(embedding_dim=32, seed=0, max_matching_neighbors=pool_size),
-        )
-        trainer = CDRTrainer(
-            model, task, _pool_step_config(pool_sharding, batch_size)
-        )
-        training_engine = trainer.build_engine()
-        pipeline = DataPipeline(trainer._loaders)
-        profiler.reset()
-        profiler.enable()
-        try:
-            history = training_engine.fit(pipeline, max_steps=max_steps)
-        finally:
-            scopes = {
-                name: stats["seconds"]
-                for name, stats in profiler.as_dict()["scopes"].items()
-            }
-            profiler.disable()
-        return history, scopes
-
-    def max_shard_nodes(task, config, pool_sharding):
-        """Deterministic structural cost: the largest shard's subgraph size."""
-        model = NMCDR(task, config)
-        model.configure_subgraph_sampling(True, num_hops=1, fanout=8)
-        sampler = MatchingNeighborSampler(
-            config.max_matching_neighbors, rng=np.random.default_rng(3)
-        )
-        intra, inter = sample_matching_pools(task, config, sampler)
-        loaders = {
-            key: iter(
-                InteractionDataLoader(
-                    task.domain(key).split,
-                    batch_size=batch_size,
-                    rng=np.random.default_rng(index + 1),
-                )
-            )
-            for index, key in enumerate(("a", "b"))
-        }
-        batches = {key: next(loader) for key, loader in loaders.items()}
-        split = split_joint_batch(batches, n_shards)
-        exchange = build_pool_exchange(task, intra, inter, n_shards)
-        sizes = []
-        for shard in range(n_shards):
-            micro = split.micro_batches[shard]
-            if pool_sharding:
-                plan = build_pool_sharded_plan(
-                    task,
-                    config,
-                    micro,
-                    intra,
-                    inter,
-                    exchange,
-                    shard,
-                    model._subgraph_settings,
-                    model._subgraph_caches,
-                )
-            else:
-                plan = build_subgraph_plan_from_pools(
-                    task,
-                    config,
-                    micro,
-                    intra,
-                    inter,
-                    model._subgraph_settings,
-                    model._subgraph_caches,
-                )
-            sizes.append(
-                sum(
-                    plan.domain(key).local_rows
-                    + (
-                        plan.domain(key).subgraph.num_items
-                        if plan.domain(key).subgraph is not None
-                        else 0
-                    )
-                    for key in ("a", "b")
-                )
-            )
-        return max(sizes)
-
-    points = []
-    with engine.engine_dtype("float32"):
-        dataset = load_scenario("cloth_sport", scale=scale, seed=13)
-        task = build_task(dataset, head_threshold=7)
-        for pool_size in POOL_SWEEP:
-            config = NMCDRConfig(
-                embedding_dim=32, seed=0, max_matching_neighbors=pool_size
-            )
-            replicated_hist, _ = fit(pool_size, False, task)
-            pooled_hist, pooled_scopes = fit(pool_size, True, task)
-            steps = max(replicated_hist.num_batches, 1)
-            points.append(
-                {
-                    "pool_size": pool_size,
-                    "replicated_max_shard_nodes": max_shard_nodes(task, config, False),
-                    "pool_sharded_max_shard_nodes": max_shard_nodes(task, config, True),
-                    "replicated_fit_wall_s": replicated_hist.fit_wall_seconds,
-                    "pool_sharded_fit_wall_s": pooled_hist.fit_wall_seconds,
-                    "replicated_step_wall_s": replicated_hist.step_seconds_total / steps,
-                    "pool_sharded_step_wall_s": pooled_hist.step_seconds_total
-                    / max(pooled_hist.num_batches, 1),
-                    "gather_overhead_s": pooled_scopes.get("train/pool_gather", 0.0)
-                    + pooled_scopes.get("train/pool_scatter", 0.0),
-                }
-            )
-
-    # Equivalence canary: exactness settings, float64, short fixed-seed fits.
-    with engine.engine_dtype("float64"):
-        canary_task = build_task(
-            load_scenario("cloth_sport", scale=0.3, seed=13), head_threshold=7
-        )
-
-        def canary_fit(pool_sharding):
-            model = NMCDR(canary_task, NMCDRConfig(embedding_dim=16, seed=3))
-            config = TrainerConfig(
-                num_epochs=2,
-                batch_size=128,
-                seed=11,
-                eval_every=1,
-                num_eval_negatives=20,
-                executor="sharded",
-                n_shards=2,
-                pool_sharding=pool_sharding,
-            )
-            return CDRTrainer(model, canary_task, config).fit()
-
-        replicated = canary_fit(False)
-        pooled = canary_fit(True)
-        loss_rel_err = max(
-            abs(a - b) / abs(a)
-            for a, b in zip(replicated.epoch_losses, pooled.epoch_losses)
-        )
-        equivalence = {
-            "dtype": "float64",
-            "n_shards": 2,
-            "metrics_bit_identical": replicated.validation_metrics
-            == pooled.validation_metrics,
-            "loss_max_rel_err": loss_rel_err,
-        }
-
-    return {
-        "scale": scale,
-        "batch_size": batch_size,
-        "max_steps": max_steps,
-        "n_shards": n_shards,
-        "subgraph": "1 hop, fanout 8",
-        "cpu_count": cpu_count,
-        "points": points,
-        "equivalence": equivalence,
-    }
-
-
-def test_bench_sharded_pool_scaling(benchmark):
-    """Pool sharding: equivalence canary + per-shard cost decoupled from pools.
-
-    Hard assertions stay machine-independent: the float64 canary must match
-    the replicated executor at the PR-4 tolerances, and the *structural*
-    per-shard subgraph growth (the quantity encoder cost follows) must be
-    decisively flatter under pool sharding.  Wall-clock claims are recorded
-    honestly with ``cpu_count`` and gated machine-aware in
-    ``scripts/check_perf_regression.py``.
-    """
-    record = run_once(benchmark, _run_sharded_pool_scaling)
-
-    lines = [
-        "Pool-sharded executor: per-shard cost vs matching-pool size "
-        f"(scale {record['scale']}, batch {record['batch_size']}, "
-        f"n_shards={record['n_shards']}, {record['subgraph']})",
-        "",
-        f"cpu_count={record['cpu_count']}  "
-        f"canary: metrics bit-identical={record['equivalence']['metrics_bit_identical']}, "
-        f"loss rel err {record['equivalence']['loss_max_rel_err']:.2e}",
-    ]
-    for point in record["points"]:
-        lines.append(
-            f"pool={point['pool_size']:>5}: max shard nodes "
-            f"{point['replicated_max_shard_nodes']:>6} repl vs "
-            f"{point['pool_sharded_max_shard_nodes']:>6} pool-sharded | "
-            f"step wall {point['replicated_step_wall_s'] * 1e3:7.1f} ms vs "
-            f"{point['pool_sharded_step_wall_s'] * 1e3:7.1f} ms "
-            f"(gather {point['gather_overhead_s'] * 1e3:6.1f} ms total)"
-        )
-    write_report("efficiency_sharded_pool_scaling", "\n".join(lines))
-    _update_bench_json(
-        {
-            "sharded_pool_scaling": {
-                "engine_dtype": "float32",
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-                **record,
-            }
-        }
-    )
-
-    equivalence = record["equivalence"]
-    assert equivalence["metrics_bit_identical"], (
-        "pool-sharded validation metrics diverged from the replicated executor"
-    )
-    assert equivalence["loss_max_rel_err"] <= 1e-11, (
-        f"pool-sharded losses beyond ulp tolerance: {equivalence['loss_max_rel_err']:.2e}"
-    )
-    smallest, largest = record["points"][0], record["points"][-1]
-    replicated_growth = (
-        largest["replicated_max_shard_nodes"] / smallest["replicated_max_shard_nodes"]
-    )
-    pooled_growth = (
-        largest["pool_sharded_max_shard_nodes"]
-        / smallest["pool_sharded_max_shard_nodes"]
-    )
-    # The replicated per-shard subgraph must visibly track the pool while the
-    # pool-sharded one stays decisively flatter (the owned slice is 1/n of
-    # the closure; the micro-batch part is shared).
-    assert replicated_growth > 1.15, (
-        f"sweep too small to exercise the pool term: replicated per-shard "
-        f"subgraph grew only {replicated_growth:.2f}x"
-    )
-    # Expected slope ratio ≈ 1/n_shards (each shard owns 1/n of the closure)
-    # plus the shared micro-batch overlap; 0.75 catches "decoupling lost"
-    # while tolerating closure overlap at n_shards=2 (measured ≈ 0.6).
-    assert (pooled_growth - 1.0) < 0.75 * (replicated_growth - 1.0), (
-        f"pool-sharded per-shard subgraph no longer decoupled from the pool: "
-        f"{pooled_growth:.2f}x vs replicated {replicated_growth:.2f}x"
-    )
-    # Total-work claim, valid on any core count: at the largest pool the
-    # pool closure is encoded once instead of n_shards times, so the
-    # pool-sharded wall must not exceed the replicated wall by more than
-    # IPC noise.
-    assert largest["pool_sharded_fit_wall_s"] < 1.25 * largest["replicated_fit_wall_s"], (
-        "pool sharding slower than replicating the pool at the largest pool "
-        f"size: {largest['pool_sharded_fit_wall_s']:.2f}s vs "
-        f"{largest['replicated_fit_wall_s']:.2f}s"
-    )
-
-
-def _run_shm_exchange():
-    """Exchange-plane cost of pool-sharded training.
-
-    Sweeps the matching-pool size — the quantity every data-plane payload
-    scales with — and fits short pool-sharded runs, eager and traced.  Per
-    point the record carries the fit/step walls, the parent's
-    ``train/pool_gather`` + ``train/pool_scatter`` scope seconds (the same
-    counters ``repro profile`` prints, so the gate and the profiler read one
-    source of truth) and the executor's comms counters: data-plane bytes
-    through shared memory vs pickled over pipes, pipe fallbacks, and
-    parent-side copy seconds.
-    """
-    import os
-
-    from repro.profiling import profiler
-
-    scale = SCALING_SCALES[-1]
-    batch_size = 512
-    max_steps = 10
-    n_shards = 2
-    cpu_count = (
-        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    )
-
-    def fit(pool_size, traced, task):
-        model = NMCDR(
-            task,
-            NMCDRConfig(embedding_dim=32, seed=0, max_matching_neighbors=pool_size),
-        )
-        config = TrainerConfig(
-            num_epochs=1,
-            batch_size=batch_size,
-            seed=5,
-            sampled_subgraph_training=True,
-            subgraph_num_hops=1,
-            subgraph_fanout=8,
-            executor="sharded",
-            n_shards=n_shards,
-            pool_sharding=True,
-            traced_steps=traced,
-        )
-        trainer = CDRTrainer(model, task, config)
-        training_engine = trainer.build_engine()
-        pipeline = DataPipeline(trainer._loaders)
-        profiler.reset()
-        profiler.enable()
-        try:
-            history = training_engine.fit(pipeline, max_steps=max_steps)
-        finally:
-            scopes = {
-                name: stats["seconds"]
-                for name, stats in profiler.as_dict()["scopes"].items()
-            }
-            profiler.disable()
-        stats = trainer._executor.comms_stats
-        return {
-            "fit_wall_s": history.fit_wall_seconds,
-            "step_wall_s": history.step_seconds_total / max(history.num_batches, 1),
-            "exchange_overhead_s": scopes.get("train/pool_gather", 0.0)
-            + scopes.get("train/pool_scatter", 0.0),
-            "data_plane_shm_bytes": int(stats.total("shm_bytes")),
-            "data_plane_pipe_bytes": int(stats.total("pipe_bytes")),
-            "pipe_fallbacks": stats.pipe_fallbacks,
-            "fallback_data_bytes": stats.fallback_data_bytes,
-            "copy_s": stats.copy_seconds(),
-            "region_grows": stats.grows,
-        }
-
-    points = []
-    with engine.engine_dtype("float32"):
-        dataset = load_scenario("cloth_sport", scale=scale, seed=13)
-        task = build_task(dataset, head_threshold=7)
-        for pool_size in POOL_SWEEP:
-            for traced in (False, True):
-                points.append(
-                    {
-                        "pool_size": pool_size,
-                        "traced": traced,
-                        "shm": fit(pool_size, traced, task),
-                    }
-                )
-
-    return {
-        "scale": scale,
-        "batch_size": batch_size,
-        "max_steps": max_steps,
-        "n_shards": n_shards,
-        "subgraph": "1 hop, fanout 8",
-        "cpu_count": cpu_count,
-        "points": points,
-    }
-
-
-def test_bench_shm_exchange(benchmark):
-    """Shm exchange plane: zero pickled data-plane bytes, walls recorded.
-
-    Hard assertions stay machine-independent: the plane runs must move zero
-    data-plane bytes over pipes and hit no pipe fallback.  The fit wall is
-    gated cpu-aware against the committed baseline in
-    ``scripts/check_perf_regression.py``; numeric equivalence of training
-    over the plane is gated by the serial-reference tests of both sharded
-    executors.
-    """
-    record = run_once(benchmark, _run_shm_exchange)
-
-    lines = [
-        "Shm exchange plane: pool-sharded exchange cost "
-        f"(scale {record['scale']}, batch {record['batch_size']}, "
-        f"n_shards={record['n_shards']}, {record['subgraph']})",
-        "",
-        f"cpu_count={record['cpu_count']}",
-    ]
-    for point in record["points"]:
-        shm = point["shm"]
-        mode = "traced" if point["traced"] else "eager "
-        lines.append(
-            f"pool={point['pool_size']:>5} {mode}: exchange overhead "
-            f"{shm['exchange_overhead_s'] * 1e3:7.1f} ms | fit wall "
-            f"{shm['fit_wall_s']:6.2f} s | data plane "
-            f"{shm['data_plane_shm_bytes'] / 1e6:8.1f} MB shm+"
-            f"{shm['data_plane_pipe_bytes'] / 1e6:.1f} MB pipe"
-        )
-    write_report("efficiency_shm_exchange", "\n".join(lines))
-    _update_bench_json(
-        {
-            "shm_exchange": {
-                "engine_dtype": "float32",
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-                **record,
-            }
-        }
-    )
-
-    for point in record["points"]:
-        label = f"pool={point['pool_size']} traced={point['traced']}"
-        shm = point["shm"]
-        assert shm["data_plane_pipe_bytes"] == 0, (
-            f"{label}: plane run moved {shm['data_plane_pipe_bytes']} data-plane "
-            "bytes over pipes (steady state must be zero)"
-        )
-        assert shm["fallback_data_bytes"] == 0, (
-            f"{label}: plane run hit {shm['pipe_fallbacks']} pipe fallbacks"
-        )
-        assert shm["data_plane_shm_bytes"] > 0, f"{label}: comms metering lost"
-
-
 def _run_traced_replay():
     """Eager vs traced step wall at the scale-18 config, serial + n_shards=2.
 

@@ -154,175 +154,6 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> int:
                     f"sharded n={point['n_shards']}: fit wall regressed {change * 100:+.1f}%"
                 )
 
-    base_pool = baseline.get("sharded_pool_scaling")
-    fresh_pool = fresh.get("sharded_pool_scaling")
-    if fresh_pool:
-        # Structural claims, baseline-independent.  The float64 canary must
-        # keep matching the replicated executor at the PR-4 tolerances, and
-        # the per-shard subgraph (the quantity encoder cost follows) must
-        # stay decoupled from the pool size.
-        equivalence = fresh_pool.get("equivalence") or {}
-        if not equivalence.get("metrics_bit_identical", True):
-            failures.append(
-                "pool sharding: validation metrics diverged from the replicated executor"
-            )
-        loss_err = equivalence.get("loss_max_rel_err")
-        if loss_err is not None and loss_err > 1e-11:
-            failures.append(
-                f"pool sharding: losses beyond ulp tolerance ({loss_err:.2e} rel err)"
-            )
-        pool_points = fresh_pool.get("points") or []
-        if len(pool_points) >= 2:
-            smallest, largest = pool_points[0], pool_points[-1]
-            replicated_growth = (
-                largest["replicated_max_shard_nodes"]
-                / smallest["replicated_max_shard_nodes"]
-            )
-            pooled_growth = (
-                largest["pool_sharded_max_shard_nodes"]
-                / smallest["pool_sharded_max_shard_nodes"]
-            )
-            rows.append(
-                (
-                    "pool sharding: per-shard node growth",
-                    replicated_growth,
-                    pooled_growth,
-                    pooled_growth / replicated_growth - 1.0,
-                )
-            )
-            # Expected slope ratio ≈ 1/n_shards plus micro-batch overlap
-            # (measured ≈ 0.6 at n=2); 0.75 catches "decoupling lost".
-            if replicated_growth > 1.15 and (pooled_growth - 1.0) > 0.75 * (
-                replicated_growth - 1.0
-            ):
-                failures.append(
-                    "pool sharding: per-shard subgraph no longer decoupled from "
-                    f"the pool ({pooled_growth:.2f}x growth vs replicated "
-                    f"{replicated_growth:.2f}x)"
-                )
-            # The activation exchange must stay a bounded slice of the step,
-            # and — a total-work claim valid on any core count — replacing
-            # n_shards pool encodes with one must not cost more than IPC
-            # noise at the largest pool.
-            pooled_wall = largest.get("pool_sharded_fit_wall_s")
-            gather = largest.get("gather_overhead_s")
-            if pooled_wall and gather and gather > 0.6 * pooled_wall:
-                failures.append(
-                    f"pool sharding: exchange overhead {gather:.2f}s dominates the "
-                    f"{pooled_wall:.2f}s fit wall (limit 60%)"
-                )
-            replicated_wall = largest.get("replicated_fit_wall_s")
-            if pooled_wall and replicated_wall:
-                ratio = pooled_wall / replicated_wall
-                rows.append(
-                    (
-                        "pool-sharded vs replicated wall (largest pool)",
-                        replicated_wall,
-                        pooled_wall,
-                        ratio - 1.0,
-                    )
-                )
-                if ratio > 1.25:
-                    failures.append(
-                        f"pool sharding slower than replicating the pool: "
-                        f"{pooled_wall:.2f}s vs {replicated_wall:.2f}s at the "
-                        "largest pool size"
-                    )
-    if (
-        base_pool
-        and fresh_pool
-        and base_pool.get("cpu_count") == fresh_pool.get("cpu_count")
-    ):
-        base_points = {p.get("pool_size"): p for p in base_pool.get("points") or []}
-        for point in fresh_pool.get("points") or []:
-            base_point = base_points.get(point.get("pool_size"))
-            if not base_point:
-                continue
-            base_time = base_point["pool_sharded_fit_wall_s"]
-            fresh_time = point["pool_sharded_fit_wall_s"]
-            change = fresh_time / base_time - 1.0
-            rows.append(
-                (
-                    f"pool-sharded pool={point['pool_size']} fit wall",
-                    base_time,
-                    fresh_time,
-                    change,
-                )
-            )
-            if change > threshold:
-                failures.append(
-                    f"pool-sharded pool={point['pool_size']}: fit wall regressed "
-                    f"{change * 100:+.1f}%"
-                )
-
-    base_xchg = baseline.get("shm_exchange")
-    fresh_xchg = fresh.get("shm_exchange")
-    if fresh_xchg:
-        # Structural claims, baseline-independent and robust to noisy
-        # hardware.
-        for point in fresh_xchg.get("points") or []:
-            label = f"pool={point.get('pool_size')} traced={point.get('traced')}"
-            shm = point.get("shm") or {}
-            if shm.get("data_plane_pipe_bytes", 0):
-                failures.append(
-                    f"shm exchange ({label}): {shm['data_plane_pipe_bytes']} "
-                    "data-plane bytes rode the pipes (steady state must be zero)"
-                )
-            if shm.get("fallback_data_bytes", 0):
-                failures.append(
-                    f"shm exchange ({label}): worker replies fell back to "
-                    "pickled pipes (reply bound lost)"
-                )
-            # The exchange rounds must stay a bounded slice of the step —
-            # the same train/pool_gather+pool_scatter counters the profiler
-            # prints.
-            wall = shm.get("fit_wall_s")
-            overhead = shm.get("exchange_overhead_s")
-            if wall and overhead and overhead > 0.6 * wall:
-                failures.append(
-                    f"shm exchange ({label}): exchange overhead {overhead:.2f}s "
-                    f"dominates the {wall:.2f}s fit wall (limit 60%)"
-                )
-    if (
-        base_xchg
-        and fresh_xchg
-        and base_xchg.get("cpu_count") == fresh_xchg.get("cpu_count")
-    ):
-        # Machine-comparable wall claim: the plane's fit wall at the
-        # largest pool must not regress against the committed baseline.
-        def sweep_point(record, traced):
-            points = [
-                p
-                for p in record.get("points") or []
-                if p.get("traced") is traced
-            ]
-            return max(points, key=lambda p: p.get("pool_size", 0), default=None)
-
-        base_point = sweep_point(base_xchg, False)
-        fresh_point = sweep_point(fresh_xchg, False)
-        if (
-            base_point
-            and fresh_point
-            and base_point.get("pool_size") == fresh_point.get("pool_size")
-        ):
-            fresh_shm_wall = (fresh_point.get("shm") or {}).get("fit_wall_s")
-            base_shm_wall = (base_point.get("shm") or {}).get("fit_wall_s")
-            if base_shm_wall and fresh_shm_wall:
-                change = fresh_shm_wall / base_shm_wall - 1.0
-                rows.append(
-                    (
-                        f"shm exchange pool={fresh_point['pool_size']} fit wall",
-                        base_shm_wall,
-                        fresh_shm_wall,
-                        change,
-                    )
-                )
-                if change > threshold:
-                    failures.append(
-                        f"shm exchange: fit wall regressed {change * 100:+.1f}% "
-                        f"at pool {fresh_point['pool_size']}"
-                    )
-
     base_traced = baseline.get("traced_replay")
     fresh_traced = fresh.get("traced_replay")
     if fresh_traced:

@@ -189,18 +189,6 @@ class BaselineModel(Module):
             and type(self).compute_batch_loss is BaselineModel.compute_batch_loss
         )
 
-    def plan_pool_exchange(self, pools, n_shards: int):
-        """Pool-sharded protocol hook: pointwise baselines have no pools.
-
-        Returning ``None`` tells :class:`repro.core.sharded.
-        PoolShardedStepExecutor` there is nothing to exchange — its steps
-        then degenerate to the replicated single-phase protocol (the
-        baselines' graph work is already a pure function of the micro-batch
-        closure, so there is no Amdahl floor to shard away).
-        """
-        del pools, n_shards
-        return None
-
     def compute_shard_loss(
         self,
         batches: Dict[str, Optional[Batch]],

@@ -97,14 +97,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker-process count for --executor sharded",
     )
     parser.add_argument(
-        "--pool-sharding",
-        action="store_true",
-        help=(
-            "with --executor sharded: partition the matching-pool closure "
-            "across shards and all-gather the pool activations each step"
-        ),
-    )
-    parser.add_argument(
         "--traced",
         action="store_true",
         help=(
@@ -119,7 +111,6 @@ def _execution_config_fields(args: argparse.Namespace) -> dict:
     return {
         "executor": args.executor,
         "n_shards": args.shards,
-        "pool_sharding": args.pool_sharding,
         "traced_steps": args.traced,
     }
 
@@ -501,8 +492,7 @@ def _command_profile(args: argparse.Namespace) -> str:
         with profile_context(instrument=not args.no_instrument):
             history = training_engine.fit(pipeline, max_steps=args.batches)
         executor_note = (
-            f", executor=sharded(n_shards={args.shards}"
-            f"{', pool-sharded' if args.pool_sharding else ''})"
+            f", executor=sharded(n_shards={args.shards})"
             if args.executor == "sharded"
             else ""
         )

@@ -11,21 +11,14 @@ from .engine import (
     StepExecutor,
     TrainingEngine,
 )
-from .plan_schedule import PlanSchedule, PlanScheduleStats, PoolShardedPlanner
+from .plan_schedule import PlanSchedule, PlanScheduleStats
 from .inter_matching import InterNodeMatching
 from .intra_matching import IntraNodeMatching
 from .nmcdr import NMCDR, DomainRepresentations
 from .prediction import PredictionHead
 from .representation import ModelCapabilities, RepresentationModel
-from .sharded import PoolShardedStepExecutor, ShardedStepExecutor, ShardLoss
-from .subgraph_plan import (
-    DomainSubgraphPlan,
-    PoolExchange,
-    SubgraphPlan,
-    SubgraphSettings,
-    build_pool_exchange,
-    build_pool_sharded_plan,
-)
+from .sharded import ShardedStepExecutor, ShardLoss
+from .subgraph_plan import DomainSubgraphPlan, SubgraphPlan, SubgraphSettings
 from .stability import (
     StabilityReport,
     empirical_prediction_deviation,
@@ -58,12 +51,7 @@ __all__ = [
     "TrainingEngine",
     "StepExecutor",
     "ShardedStepExecutor",
-    "PoolShardedStepExecutor",
     "ShardLoss",
-    "PoolExchange",
-    "PoolShardedPlanner",
-    "build_pool_exchange",
-    "build_pool_sharded_plan",
     "EngineContext",
     "Callback",
     "EarlyStoppingCallback",

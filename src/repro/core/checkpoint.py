@@ -19,8 +19,8 @@ optimiser state, rng streams, batch stream) — the repo-wide determinism
 contract every executor is gated on — restoring all of the above and
 replaying the loop from the recorded position produces **bit-identical**
 float64 losses, metrics and final parameters to the uninterrupted run
-(gated in ``tests/test_checkpoint_resume.py`` for the serial, sharded and
-pool-sharded executors).
+(gated in ``tests/test_checkpoint_resume.py`` for the serial and sharded
+executors).
 
 File format
 -----------
@@ -89,15 +89,26 @@ _VOLATILE_CONFIG_FIELDS = frozenset(
     }
 )
 
-#: TrainerConfig fields of earlier versions that only chose between
+#: Marks a retired field whose every saved value describes a replayable run.
+_ANY_VALUE = object()
+
+#: TrainerConfig fields of earlier versions, each mapped to the saved value
+#: that describes a run this code replays.  Three only chose between
 #: implementations gated numerically identical (per-step vs scheduled
 #: subgraph plans, pickled pipes vs the shm exchange plane, a read-ahead
-#: data-pipeline thread vs none).  A saved ``run.json`` trainer dict or
-#: checkpoint fingerprint naming them still describes the same run, so
-#: readers drop them (:func:`without_retired_fields`).
-_RETIRED_CONFIG_FIELDS = frozenset(
-    {"scheduled_subgraph_plans", "shm_exchange", "prefetch_epochs"}
-)
+#: data-pipeline thread vs none), so any value replays.  ``pool_sharding``
+#: chose an executor that partitioned the matching-pool closure across
+#: shards; it tracked the replicated executor only to float64 ulp level, so
+#: only ``False`` describes a run this code replays.  Readers drop every
+#: retired name (:func:`without_retired_fields`); a resume refuses a value
+#: it cannot replay (:func:`_check_retired_fields`), while params-only loads
+#: (serving) accept any.
+_RETIRED_CONFIG_FIELDS: Dict[str, object] = {
+    "scheduled_subgraph_plans": _ANY_VALUE,
+    "shm_exchange": _ANY_VALUE,
+    "prefetch_epochs": _ANY_VALUE,
+    "pool_sharding": False,
+}
 
 #: History fields serialised verbatim into the meta blob (JSON round-trips
 #: Python floats exactly, so the restored accumulators stay bit-identical).
@@ -151,6 +162,9 @@ class TrainingCheckpoint:
     adam_v: List[np.ndarray]
     best_state: Optional[Dict[str, np.ndarray]] = None
     path: Optional[Path] = None
+    #: Retired trainer-config fields the archive's fingerprint still named;
+    #: :func:`load_checkpoint` drops them from ``meta["config"]``.
+    retired_config: Dict[str, object] = field(default_factory=dict)
 
     @property
     def resume_state(self) -> ResumeState:
@@ -376,7 +390,8 @@ def load_checkpoint(
             f"{str(meta.get('digest'))[:12]}…; the file is corrupted"
         )
     # Restore and the serve reloader both compare this fingerprint.
-    meta["config"] = without_retired_fields(meta.get("config", {}))
+    saved_config = meta.get("config", {})
+    meta["config"] = without_retired_fields(saved_config)
 
     parameters = {
         name[len("param::"):]: value
@@ -417,6 +432,11 @@ def load_checkpoint(
         adam_v=adam["adam_v"],
         best_state=best_state or None,
         path=path,
+        retired_config={
+            name: value
+            for name, value in saved_config.items()
+            if name in _RETIRED_CONFIG_FIELDS
+        },
     )
 
 
@@ -430,6 +450,22 @@ def without_retired_fields(fields: Dict) -> Dict:
         for name, value in fields.items()
         if name not in _RETIRED_CONFIG_FIELDS
     }
+
+
+def _check_retired_fields(fields: Dict) -> None:
+    """Refuse a saved trainer config that only a retired implementation replays.
+
+    Raises :class:`CheckpointError` naming the first retired field whose
+    saved value differs from the one this code reproduces.
+    """
+    for name, value in fields.items():
+        replayable = _RETIRED_CONFIG_FIELDS.get(name, _ANY_VALUE)
+        if replayable is not _ANY_VALUE and value != replayable:
+            raise CheckpointError(
+                f"checkpoint was written with {name}={value!r}, an option this "
+                "version no longer has; resuming would not replay the "
+                "original run"
+            )
 
 
 def config_fingerprint(config) -> Dict:
@@ -467,6 +503,7 @@ def restore_training_state(
             f"checkpoint was written under engine dtype {meta['engine_dtype']} "
             f"but the current engine dtype is {live_dtype}"
         )
+    _check_retired_fields(checkpoint.retired_config)
     saved_config = meta["config"]
     live_config = json.loads(
         json.dumps(config_fingerprint(config), default=_json_default)

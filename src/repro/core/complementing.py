@@ -46,10 +46,9 @@ class IntraNodeComplementing(Module):
 
     def forward(
         self,
-        graph: Optional[InteractionGraph],
+        graph: InteractionGraph,
         user_repr: Tensor,
         item_repr: Tensor,
-        num_users: Optional[int] = None,
     ) -> Tensor:
         """Return ``u_g4`` given ``u_g3`` and the item representations.
 
@@ -58,15 +57,8 @@ class IntraNodeComplementing(Module):
         weighted transformed item messages added residually) run as one
         fused :func:`segment_softmax_attend` kernel; the item transform is
         applied to the item table once rather than per edge.
-
-        ``num_users`` overrides the segment count when ``user_repr`` carries
-        more rows than the graph (the pool-sharded combined row space appends
-        exchange-table rows after the local subgraph rows; they have no
-        observed edges, so their update is the identity — exactly what the
-        segment softmax produces for edge-less segments).  ``graph=None``
-        (a domain with no local subgraph at all) is treated as edge-less.
         """
-        if graph is None or graph.num_edges == 0:
+        if graph.num_edges == 0:
             return user_repr
         complemented = segment_softmax_attend(
             user_repr,
@@ -74,7 +66,7 @@ class IntraNodeComplementing(Module):
             self.ref_transform(item_repr),
             graph.user_indices,
             graph.item_indices,
-            num_users if num_users is not None else graph.num_users,
+            graph.num_users,
         )
         return user_repr + complemented
 

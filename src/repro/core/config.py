@@ -148,25 +148,15 @@ class TrainerConfig:
     #: :class:`~repro.core.sharded.ShardedStepExecutor`, which splits every
     #: joint batch across ``n_shards`` forked worker processes over
     #: shared-memory parameters and reduces gradients with a fixed-order
-    #: sum before one Adam update.  Its data-plane payloads (dispatch index
-    #: sets, activation tables, table gradients, loss terms) travel through
-    #: the shared-memory exchange plane (:mod:`repro.core.exchange`); the
-    #: worker pipes carry control headers only.
+    #: sum before one Adam update.  Its data-plane payloads (micro-batch
+    #: index sets, the step's matching pools, loss terms) travel through the
+    #: shared-memory exchange plane (:mod:`repro.core.exchange`); the worker
+    #: pipes carry control headers only.
     executor: str = "serial"
     #: Worker-process count of the sharded executor (ignored when
     #: ``executor="serial"``).  ``1`` is the serial-replica mode: bit-exact
     #: against the serial executor while exercising the full process path.
     n_shards: int = 1
-    #: Partition the matching-pool closure across the shards instead of
-    #: replicating it into every shard's subgraph (requires
-    #: ``executor="sharded"``).  Each step then runs the two-phase protocol
-    #: of :class:`~repro.core.sharded.PoolShardedStepExecutor` — encode →
-    #: activation all-gather → match/backward → gradient scatter → reduce —
-    #: so per-shard cost follows ``batch + pool/n_shards`` at the price of
-    #: one extra IPC round trip per step.  Replicated mode (the default)
-    #: wins for small pools; pool sharding wins once the pool closure
-    #: dominates per-shard work (see README "Distributed training").
-    pool_sharding: bool = False
     #: Record each step's forward+backward into a flat replay program (one
     #: per plan signature) and replay it on subsequent steps instead of
     #: rebuilding the autograd graph: no per-step ``Tensor`` node allocation,
@@ -233,8 +223,6 @@ class TrainerConfig:
             raise ValueError("executor must be 'serial' or 'sharded'")
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.pool_sharding and self.executor != "sharded":
-            raise ValueError("pool_sharding requires executor='sharded'")
         if self.lr_scheduler is not None:
             from ..optim.scheduler import SCHEDULER_NAMES
 

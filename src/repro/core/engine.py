@@ -10,8 +10,8 @@ independently testable stages wired by callbacks:
   into a subgraph plan — the engine only signals epoch boundaries through
   the model's optional ``on_epoch_start`` hook;
 * a :class:`StepExecutor` runs the optimisation step (forward, backward,
-  clip, update, cache invalidation).  The sharded executors of
-  :mod:`repro.core.sharded` replace this object without touching the loop.
+  clip, update, cache invalidation).  The sharded executor of
+  :mod:`repro.core.sharded` replaces this object without touching the loop.
 
 Cross-cutting concerns — early stopping, learning-rate scheduling, custom
 monitoring — plug in as :class:`Callback` objects instead of branches inside
@@ -74,7 +74,7 @@ class TrainingHistory:
     epoch_wall_seconds: List[float] = field(default_factory=list)
     #: Learning rate in effect at the start of each epoch.
     learning_rates: List[float] = field(default_factory=list)
-    #: Fault-tolerance counters, filled by the supervised sharded executors:
+    #: Fault-tolerance counters, filled by the supervised sharded executor:
     #: how many shard workers died / hit their step deadline, how many were
     #: respawned, and how many times the executor degraded to fewer shards.
     worker_deaths: int = 0

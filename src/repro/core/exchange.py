@@ -1,21 +1,17 @@
-"""Zero-copy shared-memory exchange plane for the sharded executors.
+"""Zero-copy shared-memory exchange plane for the sharded executor.
 
-The sharded executors' data plane — dispatch index sets, per-domain
-activation tables, summed table gradients and raw loss terms, ``O(pool × D)``
-per shard per step in the pool-sharded protocol — lives in pre-allocated,
-double-buffered POSIX shared-memory *regions*; the worker pipes carry only
-tiny control headers.  The layout is an explicit message format — the
-single-host rehearsal of a future multi-host wire protocol.
+The sharded executor's data plane — per-shard micro-batch index sets, the
+step's matching pools and the raw per-example loss terms — lives in
+pre-allocated, double-buffered POSIX shared-memory *regions*; the worker
+pipes carry only tiny control headers.  The layout is an explicit message
+format — the single-host rehearsal of a future multi-host wire protocol.
 
 Region model
 ------------
 
 * The **parent** owns every region (:class:`ExchangePlane`): one dispatch
-  region per shard (``p2w{i}``), one reply region per shard (``w2p{i}``),
-  one broadcast region (``bcast``, packed once per step for all shards), and
-  two table regions (``tables`` for gathered encoder activations, ``summed``
-  for the reduced table gradients — kept separate so a respawn replay
-  mid-scatter still sees intact activations).
+  region per shard (``p2w{i}``), one reply region per shard (``w2p{i}``) and
+  one broadcast region (``bcast``, packed once per step for all shards).
 * Each region is **double-buffered**: a segment holds two equal *slots* and
   a step uses slot ``step % 2``, so a reader of step *s* is never raced by
   the writer of step *s+1*.
@@ -45,10 +41,7 @@ where ``skeleton`` is the payload's container tree with every ndarray
 replaced by an index, and ``meta[i] = (shape, dtype_str, offset)`` locates
 array ``i`` inside the slot (offsets are 64-byte aligned, relative to the
 slot start).  The overflow fallback form is ``("pipe", payload)`` with the
-payload pickled over the pipe.  Activation tables and summed gradients need
-no header at all: both sides derive ``(capacity_rows, dim)`` views from the
-table layout carried in the step's dispatch envelope, and the gather/scatter
-rounds shrink to bare barrier tags.
+payload pickled over the pipe.
 
 The skeleton supports dicts, lists, tuples, dataclasses (rebuilt as the
 same class) and opaque leaves (scalars, strings, ``None`` — anything
@@ -217,22 +210,11 @@ def _read_arrays(buf, base_offset: int, skeleton, meta, copy: bool):
     return _rebuild(skeleton, resolve), total
 
 
-def _inplace_offset(buf_addr: int, slot_start: int, slot_bytes: int, array) -> Optional[int]:
-    """Slot-relative offset of an array already living in the slot, else None."""
-    if array.nbytes == 0 or not array.flags["C_CONTIGUOUS"]:
-        return None
-    addr = array.__array_interface__["data"][0]
-    lo = buf_addr + slot_start
-    if lo <= addr and addr + array.nbytes <= lo + slot_bytes:
-        return addr - lo
-    return None
-
-
 # ----------------------------------------------------------------------
 # stats
 # ----------------------------------------------------------------------
-#: Data-plane rounds of the sharded protocols, in step order.
-ROUNDS = ("dispatch", "gather", "broadcast", "loss", "scatter", "finish")
+#: Data-plane rounds of the sharded step, in step order.
+ROUNDS = ("dispatch", "broadcast", "loss")
 
 
 class CommsStats:
@@ -356,8 +338,6 @@ class ExchangePlane:
         self.slot = 0
         self._cursors: Dict[str, int] = {}
         self._pending_grow: Dict[str, int] = {}
-        #: (dtype_str, dim, {key: slot offset}, {key: capacity rows})
-        self._table_layout: Optional[Tuple] = None
 
     # -- lifecycle -----------------------------------------------------
     def open(
@@ -374,7 +354,6 @@ class ExchangePlane:
         regions, self.regions = self.regions, {}
         for region in regions.values():
             region.release()
-        self._table_layout = None
 
     # -- per-step control ----------------------------------------------
     def begin_step(
@@ -481,79 +460,6 @@ class ExchangePlane:
         )
         return payload
 
-    # -- activation / summed-gradient tables ---------------------------
-    def ensure_tables(
-        self,
-        sizes: Dict[str, int],
-        dim: int,
-        dtype_str: str,
-        *,
-        capacity_hint: Optional[Dict[str, int]] = None,
-    ) -> None:
-        """(Re)commit the per-domain table layout for this step's exchange.
-
-        Layout: per slot, one ``(capacity_rows, dim)`` array per domain at a
-        fixed 64-aligned offset; a step uses the first ``exchange.size``
-        rows.  With a capacity hint (the per-domain user-count upper bound)
-        the regions are sized once at open — untouched pages stay virtual —
-        and a regrow (generation bump) only happens if a step's exchange
-        outgrows the committed capacity.
-        """
-        itemsize = np.dtype(dtype_str).itemsize
-        layout = self._table_layout
-        if (
-            layout is not None
-            and layout[0] == dtype_str
-            and layout[1] == dim
-            and all(sizes.get(key, 0) <= layout[3].get(key, 0) for key in sizes)
-        ):
-            return
-        capacity: Dict[str, int] = {}
-        for key in sorted(set(sizes) | set(capacity_hint or {})):
-            previous = layout[3].get(key, 0) if layout is not None else 0
-            capacity[key] = max(
-                sizes.get(key, 0), (capacity_hint or {}).get(key, 0), previous
-            )
-        offsets: Dict[str, int] = {}
-        cursor = 0
-        for key in sorted(capacity):
-            cursor = _aligned(cursor)
-            offsets[key] = cursor
-            cursor += capacity[key] * dim * itemsize
-        slot_bytes = max(cursor, _ALIGN)
-        for region_id in ("tables", "summed"):
-            region = self.regions.get(region_id)
-            if region is None:
-                self.regions[region_id] = _Region(region_id, slot_bytes)
-                self._cursors[region_id] = 0
-            elif slot_bytes > region.slot_bytes:
-                region.grow(slot_bytes, at_least_double=False)
-                self.stats.grows += 1
-        self._table_layout = (dtype_str, dim, offsets, capacity)
-
-    def tables_env(self) -> Dict:
-        """The table layout block of the step's dispatch envelope."""
-        dtype_str, dim, offsets, capacity = self._table_layout
-        return {
-            "tables": self.regions["tables"].descriptor(),
-            "summed": self.regions["summed"].descriptor(),
-            "dtype": dtype_str,
-            "dim": dim,
-            "offsets": offsets,
-            "capacity": capacity,
-        }
-
-    def table_view(self, key: str, rows: int, which: str = "tables") -> np.ndarray:
-        """The current slot's ``(rows, dim)`` view of one domain's table."""
-        dtype_str, dim, offsets, _ = self._table_layout
-        region = self.regions[which]
-        return np.ndarray(
-            (rows, dim),
-            dtype=np.dtype(dtype_str),
-            buffer=region.shm.buf,
-            offset=self.slot * region.slot_bytes + offsets[key],
-        )
-
     def descriptor(self, region_id: str) -> Tuple[str, str, int, int]:
         return self.regions[region_id].descriptor()
 
@@ -603,9 +509,6 @@ class _Attached:
         self.shm = _attach_untracked(name)
         self.generation = generation
         self.slot_bytes = slot_bytes
-        self.addr = np.frombuffer(self.shm.buf, dtype=np.uint8).__array_interface__[
-            "data"
-        ][0]
 
     def close(self) -> None:
         _detach(self.shm)
@@ -615,9 +518,8 @@ class ExchangeClient:
     """Worker-side view of the exchange plane.
 
     Attaches parent segments lazily by name (cached per region, re-attached
-    when a header names a new generation), unpacks dispatch payloads, packs
-    replies into this shard's reply region, and exposes the per-domain
-    activation/summed-gradient table views described by the step envelope.
+    when a header names a new generation), unpacks dispatch payloads and
+    packs replies into this shard's reply region.
     """
 
     def __init__(self) -> None:
@@ -625,7 +527,6 @@ class ExchangeClient:
         self.slot = 0
         self._reply: Optional[Tuple[str, str, int, int]] = None
         self._reply_cursor = 0
-        self._tables_env: Optional[Dict] = None
         self.grow_request: Dict[str, int] = {}
 
     def attach(self, descriptor: Tuple[str, str, int, int]) -> _Attached:
@@ -642,7 +543,6 @@ class ExchangeClient:
         self.slot = env["slot"]
         self._reply = env["reply"]
         self._reply_cursor = 0
-        self._tables_env = env.get("tables")
         self.grow_request = {}
 
     def unpack(self, header, *, copy: bool = False):
@@ -656,58 +556,23 @@ class ExchangeClient:
         return payload
 
     # -- reply packing --------------------------------------------------
-    def alloc_reply(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A staging array inside the reply slot (zero-copy on send).
-
-        On overflow, returns a plain heap array instead and notes a grow
-        request — the payload then rides the pipe once and the parent
-        regrows the region before the next step.
-        """
-        attached = self.attach(self._reply)
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        cursor = _aligned(self._reply_cursor)
-        if cursor + nbytes > attached.slot_bytes:
-            self._note_grow(cursor + nbytes)
-            return np.empty(shape, dtype=dtype)
-        view = np.ndarray(
-            shape,
-            dtype=dtype,
-            buffer=attached.shm.buf,
-            offset=self.slot * attached.slot_bytes + cursor,
-        )
-        self._reply_cursor = cursor + nbytes
-        return view
-
     def pack_reply(self, payload):
         """Header for ``payload`` packed into the reply slot.
 
-        Arrays already staged in the slot (via :meth:`alloc_reply`) are
-        referenced in place — no second copy.  Overflow falls back to the
-        ``("pipe", payload)`` header plus a grow request.
+        Overflow falls back to the ``("pipe", payload)`` header plus a grow
+        request.
         """
         attached = self.attach(self._reply)
         arrays: List[np.ndarray] = []
         skeleton = _flatten(payload, arrays)
-        slot_start = self.slot * attached.slot_bytes
-        meta: List = []
-        to_copy: List[int] = []
-        for index, array in enumerate(arrays):
-            offset = _inplace_offset(
-                attached.addr, slot_start, attached.slot_bytes, array
-            )
-            meta.append((array.shape, array.dtype.str, offset))
-            if offset is None:
-                to_copy.append(index)
-        needed = self._reply_cursor
-        for index in to_copy:
-            needed = _aligned(needed) + arrays[index].nbytes
+        needed = _required_bytes(arrays, self._reply_cursor)
         if needed > attached.slot_bytes:
             self._note_grow(needed)
             return (PIPE_HEADER, payload)
+        slot_start = self.slot * attached.slot_bytes
+        meta: List = []
         cursor = self._reply_cursor
-        for index in to_copy:
-            array = arrays[index]
+        for array in arrays:
             cursor = _aligned(cursor)
             if array.nbytes:
                 dest = np.ndarray(
@@ -717,7 +582,7 @@ class ExchangeClient:
                     offset=slot_start + cursor,
                 )
                 dest[...] = array
-            meta[index] = (array.shape, array.dtype.str, cursor)
+            meta.append((array.shape, array.dtype.str, cursor))
             cursor += array.nbytes
         self._reply_cursor = cursor
         descriptor = (
@@ -737,17 +602,6 @@ class ExchangeClient:
     def take_grow_request(self) -> Optional[Dict[str, int]]:
         request, self.grow_request = self.grow_request, {}
         return request or None
-
-    # -- table views -----------------------------------------------------
-    def table_view(self, key: str, rows: int, which: str = "tables") -> np.ndarray:
-        env = self._tables_env
-        attached = self.attach(env[which])
-        return np.ndarray(
-            (rows, env["dim"]),
-            dtype=np.dtype(env["dtype"]),
-            buffer=attached.shm.buf,
-            offset=self.slot * attached.slot_bytes + env["offsets"][key],
-        )
 
     def close(self) -> None:
         attached, self._attached = self._attached, {}

@@ -11,9 +11,8 @@ Injection points
 ----------------
 
 ``worker_exit``
-    The shard worker calls ``os._exit`` at the start of the matching step
-    (or pool-protocol phase) — a hard crash the parent must detect and
-    recover from.
+    The shard worker calls ``os._exit`` at the start of the matching step —
+    a hard crash the parent must detect and recover from.
 ``worker_hang``
     The worker sleeps past any reasonable step deadline, exercising the
     supervisor's hang detection (``delay`` overrides the default sleep).
@@ -133,8 +132,9 @@ class FaultSpec:
     #: Restrict to one step index (worker-local for worker points,
     #: engine-global for ``parent_exit``); ``None`` matches every step.
     step: Optional[int] = None
-    #: Restrict to one pool-protocol phase (``step``/``enc``/``match``/
-    #: ``finish``) — ``None`` matches any phase.
+    #: Restrict a reload point to one phase (``file``/``table`` for
+    #: ``reload_corrupt``, ``publish``/``swap`` for ``reload_crash``) —
+    #: ``None`` matches any phase.
     phase: Optional[str] = None
     #: Restrict ``parent_exit`` to one epoch boundary.
     epoch: Optional[int] = None
@@ -270,19 +270,19 @@ def fire(point: str, **context: object) -> Optional[FaultSpec]:
 # ----------------------------------------------------------------------
 # site-specific hooks
 # ----------------------------------------------------------------------
-def worker_step(shard: int, step: int, phase: str = "step") -> None:
-    """Worker-side hook at the top of every step (and pool phase).
+def worker_step(shard: int, step: int) -> None:
+    """Worker-side hook at the top of every step.
 
     Order matters: a slow step completes, a hang blocks until the parent's
     deadline kills the worker, an exit dies instantly.
     """
-    spec = fire("worker_slow", shard=shard, step=step, phase=phase)
+    spec = fire("worker_slow", shard=shard, step=step)
     if spec is not None:
         time.sleep(spec.delay)
-    spec = fire("worker_hang", shard=shard, step=step, phase=phase)
+    spec = fire("worker_hang", shard=shard, step=step)
     if spec is not None:
         time.sleep(spec.delay or 3600.0)
-    spec = fire("worker_exit", shard=shard, step=step, phase=phase)
+    spec = fire("worker_exit", shard=shard, step=step)
     if spec is not None:
         os._exit(FAULT_EXIT_CODE)
 

@@ -19,7 +19,6 @@ graph traversal (Eq. 24).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -29,42 +28,23 @@ from ..graph import MatchingNeighborSampler, SubgraphCache
 from ..nn import Embedding, ModelCapabilities, Module, ModuleList
 from ..profiling import profiler
 from ..tensor import Tensor, no_grad, ops
-from ..tensor.engine import get_dtype
 from .complementing import IntraNodeComplementing
 from .config import NMCDRConfig
 from .encoder import HeterogeneousGraphEncoder
 from .inter_matching import InterNodeMatching
 from .intra_matching import IntraNodeMatching
-from .plan_schedule import PlanSchedule, PoolShardedPlanner, plan_structure_key
+from .plan_schedule import PlanSchedule, plan_structure_key
 from .prediction import PredictionHead
 from .sharded import ShardLoss
 from .subgraph_plan import (
-    PoolExchange,
     SubgraphPlan,
     SubgraphSettings,
-    build_pool_exchange,
     build_subgraph_plan_from_pools,
     sample_matching_pools,
 )
 from .task import CDRTask, DOMAIN_KEYS
 
 __all__ = ["NMCDR", "DomainRepresentations"]
-
-
-@dataclass
-class _PoolShardStepState:
-    """Worker-side state carried between the phases of a pool-sharded step.
-
-    ``reps`` holds the live phase-1 autograd graph (stages 0/1); ``leaves``
-    the phase-2 boundary leaf tensors whose accumulated gradients seed the
-    phase-3 encoder backward.
-    """
-
-    plan: SubgraphPlan
-    reps: Dict[str, DomainRepresentations]
-    batches: Dict[str, Optional[Batch]]
-    full_sizes: Optional[Dict[str, int]]
-    leaves: Dict[str, Dict[str, Tensor]] = field(default_factory=dict)
 
 
 #: Stage names in pipeline order; ``user_g4`` feeds the final prediction loss.
@@ -179,7 +159,6 @@ class NMCDR(Module):
         self._subgraph_settings: Optional[SubgraphSettings] = None
         self._subgraph_caches: Optional[Dict[str, SubgraphCache]] = None
         self._plan_schedule: Optional[PlanSchedule] = None
-        self._pool_planner: Optional[PoolShardedPlanner] = None
         self._cache: Optional[Dict[str, Dict[str, np.ndarray]]] = None
 
     # ------------------------------------------------------------------
@@ -191,7 +170,6 @@ class NMCDR(Module):
             encode_match_split=True,
             sharding=True,
             matching_pools=True,
-            pool_exchange=True,
             subgraph_sampling=True,
         )
 
@@ -254,7 +232,6 @@ class NMCDR(Module):
             self._subgraph_settings = None
             self._subgraph_caches = None
             self._plan_schedule = None
-            self._pool_planner = None
             return
         if num_hops is not None:
             resolved = num_hops
@@ -293,13 +270,7 @@ class NMCDR(Module):
     # ------------------------------------------------------------------
     def trace_signature(self) -> Tuple:
         """Structural key component for traced step replay (not per-batch)."""
-        return (
-            type(self).__name__,
-            plan_structure_key(
-                self._subgraph_settings,
-                pool_sharded=self._pool_planner is not None,
-            ),
-        )
+        return (type(self).__name__, plan_structure_key(self._subgraph_settings))
 
     def trace_rng_sources(self) -> Tuple:
         """Generators a training step consumes (rewound on trace fallback)."""
@@ -323,11 +294,7 @@ class NMCDR(Module):
         """Stages 0/1: look-up plus heterogeneous graph encoder, per domain.
 
         Returns partial :class:`DomainRepresentations` carrying ``user_g0``,
-        ``user_g1`` and ``items`` — the encoder/matching boundary the
-        pool-sharded executor exchanges activations across.  A pool-sharded
-        domain that is active only through its exchange table (no local
-        subgraph) gets empty zero-row tensors so the matching stage can
-        concatenate the table uniformly.
+        ``user_g1`` and ``items``.
 
         ``keys`` restricts encoding to the named domains.  A domain's
         encoder output depends only on that domain's embedding/encoder
@@ -336,7 +303,6 @@ class NMCDR(Module):
         incremental refresh) may recompute one domain alone and splice the
         stored tensors back in before :meth:`match_representations`.
         """
-        config = self.config
         reps: Dict[str, DomainRepresentations] = {}
         for key in self._active_keys(plan):
             if keys is not None and key not in keys:
@@ -346,19 +312,11 @@ class NMCDR(Module):
                 graph = self.task.domain(key).train_graph
                 user_g0 = params.user_embedding.all()
                 item_g0 = params.item_embedding.all()
-            elif plan.domain(key).active:
+            else:
                 subgraph = plan.domain(key).subgraph
                 graph = subgraph.graph
                 user_g0 = params.user_embedding(subgraph.user_ids)
                 item_g0 = params.item_embedding(subgraph.item_ids)
-            else:
-                # Table-only domain (pool-sharded, empty local subgraph).
-                reps[key] = DomainRepresentations(
-                    user_g0=Tensor(np.zeros((0, config.embedding_dim))),
-                    user_g1=Tensor(np.zeros((0, config.resolved_hge_dim))),
-                    items=Tensor(np.zeros((0, config.resolved_hge_dim))),
-                )
-                continue
             user_g1, item_g1 = params.encoder(graph, user_g0, item_g0)
             reps[key] = DomainRepresentations(user_g0=user_g0, user_g1=user_g1, items=item_g1)
         return reps
@@ -367,28 +325,14 @@ class NMCDR(Module):
         self,
         reps: Dict[str, DomainRepresentations],
         plan: Optional[SubgraphPlan] = None,
-        pool_tables: Optional[Dict[str, Tensor]] = None,
     ) -> Dict[str, DomainRepresentations]:
-        """Stages 2–4: matching blocks and complementing over encoded reps.
-
-        ``pool_tables`` (pool-sharded execution) appends the exchanged
-        pool-activation table after each domain's local encoder rows; the
-        plan's pool/overlap indices then address this *combined* row space.
-        The table rows evolve through the same matching recursion as the
-        replicated executor's single copies — bit-identical values by the
-        encoder-exactness contract — while their encoder backward happens on
-        their owning shards via the mirrored gradient exchange.
-        """
+        """Stages 2–4: matching blocks and complementing over encoded reps."""
         config = self.config
         active_keys = self._active_keys(plan)
 
-        encoded_users: Dict[str, Tensor] = {}
-        for key in active_keys:
-            user_g1 = reps[key]["user_g1"]
-            table = pool_tables.get(key) if pool_tables is not None else None
-            if table is not None and table.shape[0]:
-                user_g1 = ops.concat([user_g1, table], axis=0)
-            encoded_users[key] = user_g1
+        encoded_users: Dict[str, Tensor] = {
+            key: reps[key]["user_g1"] for key in active_keys
+        }
 
         # Stage 2/3: stacked intra + inter matching blocks (coupled across domains).
         current: Dict[str, Tensor] = dict(encoded_users)
@@ -458,13 +402,9 @@ class NMCDR(Module):
                 if plan is None:
                     graph = self.task.domain(key).train_graph
                 else:
-                    subgraph = plan.domain(key).subgraph
-                    graph = subgraph.graph if subgraph is not None else None
+                    graph = plan.domain(key).subgraph.graph
                 reps[key]["user_g4"] = params.complementing(
-                    graph,
-                    reps[key]["user_g3"],
-                    reps[key]["items"],
-                    num_users=reps[key]["user_g3"].shape[0],
+                    graph, reps[key]["user_g3"], reps[key]["items"]
                 )
             else:
                 reps[key]["user_g4"] = reps[key]["user_g3"]
@@ -482,8 +422,7 @@ class NMCDR(Module):
         global node ``plan.domain(key).subgraph.user_ids[i]`` (items
         likewise), and domains the plan marks inactive are skipped entirely.
         The pipeline is :meth:`encode_representations` (stages 0/1) followed
-        by :meth:`match_representations` (stages 2–4) — the boundary the
-        pool-sharded executor splits the step at.
+        by :meth:`match_representations` (stages 2–4).
         """
         return self.match_representations(self.encode_representations(plan), plan)
 
@@ -719,195 +658,6 @@ class NMCDR(Module):
             reductions={key: "sum" for key in terms},
             value_dtype=str(total.data.dtype) if total is not None else None,
         )
-
-    # ------------------------------------------------------------------
-    # pool-sharded execution protocol (two-phase step)
-    # ------------------------------------------------------------------
-    def plan_pool_exchange(self, pools, n_shards: int) -> Optional[PoolExchange]:
-        """Partition one step's matching-pool closure across shards.
-
-        Called parent-side once per step with the pools
-        :meth:`sample_step_pools` drew; the returned
-        :class:`~repro.core.subgraph_plan.PoolExchange` ships to every
-        worker with the step message.
-        """
-        if pools is None:
-            return None
-        intra_pools, inter_pools = pools
-        return build_pool_exchange(self.task, intra_pools, inter_pools, n_shards)
-
-    def exchange_table_spec(self):
-        """``(row_dim, dtype_str)`` the shm exchange sizes activation tables by."""
-        return int(self.config.resolved_hge_dim), np.dtype(get_dtype()).str
-
-    def exchange_plane_hints(self) -> Dict[str, int]:
-        """Per-domain table-row capacity hints for the shm exchange plane.
-
-        A domain's pool closure can never exceed its user population, so
-        sizing the per-domain activation/gradient tables at ``num_users``
-        rows up front makes steady-state regrows structurally impossible
-        (the pages are virtual until written).
-        """
-        return {key: int(self.task.domain(key).num_users) for key in DOMAIN_KEYS}
-
-    def encode_shard_step(
-        self,
-        batches: Dict[str, Optional[Batch]],
-        *,
-        pools,
-        exchange: PoolExchange,
-        shard_index: int,
-        full_sizes: Optional[Dict[str, int]] = None,
-        publish,
-    ) -> "_PoolShardStepState":
-        """Phase 1 of a pool-sharded step: encode, publish owned activations.
-
-        Builds the shard's pool-partitioned plan (micro-batch closure plus
-        the *owned* slice of the pool exchange — per-shard encoder cost
-        follows ``batch + pool/n_shards``), runs stages 0/1 and returns the
-        opaque step state.  ``publish`` is the exchange plane's table
-        publisher: ``publish(key, user_g1, owned_local)`` is called per
-        domain with owned rows — it gathers them straight into the shared
-        activation table for the parent's all-gather — and
-        ``publish(key, None, None)`` for domains without.
-        """
-        if pools is None:
-            raise ValueError("pool-sharded steps need the parent-drawn matching pools")
-        intra_pools, inter_pools = pools
-        if self._subgraph_settings is None:
-            # Workers localise at the exactness depth by default; the
-            # executor configures this post-fork, so reaching this branch
-            # means a caller drove the protocol directly.
-            self.configure_subgraph_sampling(True)
-        planner = self._pool_planner
-        if (
-            planner is None
-            or planner.shard_index != shard_index
-            or planner.settings is not self._subgraph_settings
-        ):
-            planner = PoolShardedPlanner(
-                self.task,
-                self.config,
-                self._subgraph_settings,
-                self._subgraph_caches,
-                shard_index,
-            )
-            self._pool_planner = planner
-        plan = planner.plan_for(batches, intra_pools, inter_pools, exchange)
-        reps = self.encode_representations(plan)
-        for key in DOMAIN_KEYS:
-            domain_plan = plan.domain(key)
-            if key in reps and domain_plan.owned_local.size:
-                publish(key, reps[key]["user_g1"], domain_plan.owned_local)
-            else:
-                publish(key, None, None)
-        return _PoolShardStepState(
-            plan=plan, reps=reps, batches=batches, full_sizes=full_sizes
-        )
-
-    def match_shard_step(
-        self,
-        state: "_PoolShardStepState",
-        tables: Dict[str, np.ndarray],
-        *,
-        include_extra: bool = True,
-        boundary_out: Dict[str, np.ndarray],
-    ):
-        """Phase 2: matching stages over local rows + the gathered pool table.
-
-        The encoder outputs are re-entered as *detached boundary leaves* (a
-        custom autograd boundary: the matching graph starts at fresh leaf
-        tensors sharing the phase-1 arrays), the exchanged table joins them
-        as one leaf per domain, and the backward pass of this phase stops at
-        the boundary — accumulating matching/prediction parameter gradients,
-        the boundary leaves' gradients (re-injected into the encoder graph
-        in phase 3) and the table gradients for the parent's mirrored
-        scatter.  The table gradients are written into ``boundary_out``
-        (the caller's pre-allocated buffers — shm reply-slot views, so the
-        gradients take no extra heap copy on their way to the parent).
-        Returns ``(ShardLoss, {key: (E, D) grad array})`` with the
-        ``boundary_out`` buffers of the active domains; the shard loss's
-        ``loss`` field is already backwarded and cleared.
-        """
-        del include_extra  # NMCDR has no model-level extra losses
-        plan = state.plan
-        detached: Dict[str, DomainRepresentations] = {}
-        table_leaves: Dict[str, Tensor] = {}
-        dtype = get_dtype()
-        for key in self._active_keys(plan):
-            reps_k = state.reps[key]
-            leaves = {
-                name: Tensor(reps_k[name].data, requires_grad=True)
-                for name in ("user_g0", "user_g1", "items")
-            }
-            detached[key] = DomainRepresentations(
-                user_g0=leaves["user_g0"],
-                user_g1=leaves["user_g1"],
-                items=leaves["items"],
-            )
-            table = tables.get(key)
-            if table is None:
-                table = np.zeros(
-                    (plan.domain(key).exchange_size, self.config.resolved_hge_dim),
-                    dtype=dtype,
-                )
-            table_leaves[key] = Tensor(table, requires_grad=True)
-            state.leaves[key] = leaves
-
-        out = self.match_representations(detached, plan, pool_tables=table_leaves)
-        result = self._shard_loss_terms(out, state.batches, plan, state.full_sizes)
-        if result.loss is not None:
-            result.loss.backward()
-            result.loss = None
-        boundary: Dict[str, np.ndarray] = {}
-        for key, leaf in table_leaves.items():
-            dest = boundary_out[key]
-            if leaf.grad is not None:
-                np.copyto(dest, leaf.grad)
-            else:
-                dest[...] = 0.0
-            boundary[key] = dest
-        return result, boundary
-
-    def finish_shard_step(
-        self, state: "_PoolShardStepState", owned_grads: Dict[str, np.ndarray]
-    ) -> None:
-        """Phase 3: one backward through the encoder graph (graph of phase 1).
-
-        Seeds the encoder backward with the boundary leaves' accumulated
-        gradients plus the summed table gradients of this shard's *owned*
-        rows (scattered back by the parent in fixed shard order), expressed
-        as a scalar surrogate ``Σ (activation · seed)`` whose single
-        backward reproduces the exact vector-Jacobian products — so each
-        phase traverses its own graph exactly once.
-        """
-        surrogate: Optional[Tensor] = None
-        for key, leaves in state.leaves.items():
-            domain_plan = state.plan.domain(key)
-            g1_seed = leaves["user_g1"].grad
-            own = owned_grads.get(key) if owned_grads else None
-            if own is not None and own.size:
-                if g1_seed is None:
-                    g1_seed = np.zeros(
-                        leaves["user_g1"].data.shape, dtype=leaves["user_g1"].data.dtype
-                    )
-                else:
-                    g1_seed = np.array(g1_seed, copy=True)
-                g1_seed[domain_plan.owned_local] += own
-            for name, seed in (
-                ("user_g0", leaves["user_g0"].grad),
-                ("user_g1", g1_seed),
-                ("items", leaves["items"].grad),
-            ):
-                if seed is None:
-                    continue
-                source = state.reps[key][name]
-                if not source.requires_grad:
-                    continue
-                term = (source * seed).sum()
-                surrogate = term if surrogate is None else surrogate + term
-        if surrogate is not None and surrogate.requires_grad:
-            surrogate.backward()
 
     # ------------------------------------------------------------------
     # evaluation interface

@@ -36,15 +36,6 @@ incremental across the steps of an epoch:
   the parent adjacency's CSR slices (:func:`repro.graph.induced_subgraph`),
   with no scipy fancy-indexing pass and no COO→CSR canonicalisation.
 
-:class:`PoolShardedPlanner` applies the same incremental machinery inside a
-pool-sharded shard worker: the *owned slice* of the step's pool exchange
-plays the static closure's role (keyed by content digest — the exchange
-arrays arrive freshly copied out of the exchange plane every step, so
-identity keying would never hit).  As in :class:`PlanSchedule`, a step with
-a fresh owned slice is built from scratch, and the slice's expansion is
-computed on its first reuse; from then on only the micro-batch delta is
-expanded per step.
-
 Equivalence is structural, not approximate: for the same rng state and batch
 sequence, :meth:`PlanSchedule.plan_for` returns plans whose arrays are
 byte-identical to a from-scratch build
@@ -65,11 +56,9 @@ from ..graph import MatchingNeighborSampler, SubgraphCache
 from ..graph.sampling import sample_khop_nodes
 from .config import NMCDRConfig
 from .subgraph_plan import (
-    PoolExchange,
     SubgraphPlan,
     SubgraphSettings,
     batch_index_arrays,
-    build_pool_sharded_plan,
     build_subgraph_plan_from_pools,
     close_seed_users,
     finalize_subgraph_plan,
@@ -80,17 +69,13 @@ from .task import CDRTask, DOMAIN_KEYS
 __all__ = [
     "PlanScheduleStats",
     "PlanSchedule",
-    "PoolShardedPlanner",
     "plan_structure_key",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def plan_structure_key(
-    settings: Optional[SubgraphSettings],
-    pool_sharded: bool = False,
-) -> Tuple:
+def plan_structure_key(settings: Optional[SubgraphSettings]) -> Tuple:
     """Structural signature of the plan pipeline a model trains through.
 
     Used as the trace-section key component for traced step replay
@@ -103,12 +88,7 @@ def plan_structure_key(
     """
     if settings is None:
         return ("full-graph",)
-    return (
-        "sampled",
-        settings.num_hops,
-        settings.fanout,
-        bool(pool_sharded),
-    )
+    return ("sampled", settings.num_hops, settings.fanout)
 
 
 @dataclass
@@ -307,143 +287,4 @@ class PlanSchedule:
             self.settings,
             self.caches,
             node_sets=node_sets,
-        )
-
-
-class PoolShardedPlanner:
-    """Incremental builder of pool-sharded per-step plans (worker-side).
-
-    Mirrors :class:`PlanSchedule` for the pool-sharded execution mode: the
-    shard's *owned slice* of the pool exchange is the static part.  A step
-    whose owned slice differs from the last step's (every step under random
-    pools) is built from scratch by
-    :func:`~repro.core.subgraph_plan.build_pool_sharded_plan`, one expansion
-    of owned slice and micro-batch together, so a miss costs what the
-    from-scratch path would.  Once a step repeats the owned slice
-    (deterministic pools repeat it every step), its k-hop expansion is
-    computed, cached and reused, and only the micro-batch closure is
-    expanded per step.  Valid under a fanout cap too (the per-node
-    reservoir makes capped expansion distribute over seed unions).  For the
-    same exchange and batches the produced plans are byte-identical to
-    :func:`~repro.core.subgraph_plan.build_pool_sharded_plan` without
-    ``node_sets`` (gated in ``tests/test_pool_sharded_executor.py``).
-    """
-
-    def __init__(
-        self,
-        task: CDRTask,
-        config: NMCDRConfig,
-        settings: SubgraphSettings,
-        caches: Dict[str, SubgraphCache],
-        shard_index: int,
-    ) -> None:
-        self.task = task
-        self.config = config
-        self.settings = settings
-        self.caches = caches
-        self.shard_index = int(shard_index)
-        self.stats = PlanScheduleStats()
-        self._static_digest: Optional[Tuple[bytes, ...]] = None
-        self._static_nodes: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
-
-    def _static_node_sets(
-        self, owned: Dict[str, np.ndarray]
-    ) -> Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]]:
-        """The owned slice's cached expansion if this step repeats the slice."""
-        digest = tuple(owned[key].tobytes() for key in DOMAIN_KEYS)
-        if digest != self._static_digest:
-            self._static_digest = digest
-            self._static_nodes = None
-            return None
-        self.stats.static_closure_reuses += 1
-        if self._static_nodes is None:
-            # First reuse: the slice is stable, so its one-off expansion now
-            # pays for itself every later step.
-            self._static_nodes = {
-                key: sample_khop_nodes(
-                    self.task.domain(key).train_graph,
-                    owned[key],
-                    _EMPTY,
-                    num_hops=self.settings.num_hops,
-                    fanout=self.settings.fanout,
-                )
-                for key in DOMAIN_KEYS
-            }
-        return self._static_nodes
-
-    def plan_for(
-        self,
-        batches: Dict[str, Optional[Batch]],
-        intra_pools: Dict[str, list],
-        inter_pools: Dict[str, list],
-        exchange: PoolExchange,
-    ) -> SubgraphPlan:
-        """Build this shard's pool-sharded plan for one step."""
-        owned = {
-            key: exchange.owned_users(key, self.shard_index) for key in DOMAIN_KEYS
-        }
-        self.stats.plans_built += 1
-        static_nodes = self._static_node_sets(owned)
-        if static_nodes is None:
-            self.stats.full_expansions += 1
-            return build_pool_sharded_plan(
-                self.task,
-                self.config,
-                batches,
-                intra_pools,
-                inter_pools,
-                exchange,
-                self.shard_index,
-                self.settings,
-                self.caches,
-            )
-
-        batch_users, batch_items = batch_index_arrays(batches)
-        batch_closed = close_seed_users(
-            self.task, {key: [batch_users[key]] for key in DOMAIN_KEYS}
-        )
-
-        node_sets: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for key in DOMAIN_KEYS:
-            if (
-                owned[key].size == 0
-                and batch_closed[key].size == 0
-                and batch_items[key].size == 0
-            ):
-                continue
-            delta_users = np.setdiff1d(
-                batch_closed[key], owned[key], assume_unique=True
-            )
-            delta = sample_khop_nodes(
-                self.task.domain(key).train_graph,
-                delta_users,
-                batch_items[key],
-                num_hops=self.settings.num_hops,
-                fanout=self.settings.fanout,
-            )
-            static_users, static_items = static_nodes[key]
-            merged_users = np.union1d(static_users, delta[0])
-            merged_items = np.union1d(static_items, delta[1])
-            # A union the same size as the static set *is* the static set;
-            # reusing the same array objects lets the subgraph cache's
-            # identity fast path skip even the node-set hashing.
-            if merged_users.size == static_users.size:
-                merged_users = static_users
-            if merged_items.size == static_items.size:
-                merged_items = static_items
-            node_sets[key] = (merged_users, merged_items)
-        self.stats.delta_expansions += 1
-
-        return build_pool_sharded_plan(
-            self.task,
-            self.config,
-            batches,
-            intra_pools,
-            inter_pools,
-            exchange,
-            self.shard_index,
-            self.settings,
-            self.caches,
-            node_sets=node_sets,
-            batch_closed=batch_closed,
         )

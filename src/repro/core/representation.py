@@ -1,14 +1,13 @@
 """The explicit representation-model protocol behind training and serving.
 
-PR 5 split NMCDR's forward into ``encode_representations`` (stages 0/1 —
-the per-user encoder outputs) and ``match_representations`` (stages 2–4 —
-matching and complementing) so the pool-sharded executor could exchange
-activations at that boundary.  This module promotes the split from an
+NMCDR's forward factors into ``encode_representations`` (stages 0/1 — the
+per-user encoder outputs) and ``match_representations`` (stages 2–4 —
+matching and complementing).  This module promotes the split from an
 informal convention probed with ``hasattr`` into a declared protocol:
 
 * :class:`~repro.nn.ModelCapabilities` (re-exported here) is the flag set a
-  model returns from ``capabilities()``; every consumer — the trainer, both
-  sharded executors, the training engine and :mod:`repro.serve` — branches
+  model returns from ``capabilities()``; every consumer — the trainer, the
+  sharded executor, the training engine and :mod:`repro.serve` — branches
   on those flags instead of probing method names.
 * :class:`RepresentationModel` is the structural type of a model that
   declares ``encode_match_split``: the serving tier builds its persistent
@@ -58,7 +57,6 @@ class RepresentationModel(Protocol):
         self,
         reps: Dict[str, dict],
         plan: Optional[object] = None,
-        pool_tables: Optional[dict] = None,
     ) -> Dict[str, dict]: ...
 
     def score_pairs(

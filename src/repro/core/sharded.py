@@ -7,10 +7,11 @@ joint step is split into per-shard micro-batches (``user_id % n_shards``,
 its micro-batch with the existing :class:`~repro.core.subgraph_plan.
 SubgraphPlan` machinery and runs forward/backward on its own core, and the
 parent combines the per-shard gradients with a fixed-order all-reduce-style
-sum before one in-place Adam update.  Step payloads — micro-batches, pools,
-loss terms and, pool-sharded, the activation tables — travel through the
-shared-memory exchange plane (:mod:`repro.core.exchange`); the worker pipes
-carry control headers only.
+sum before one in-place Adam update.  Step payloads — micro-batches, the
+step's matching pools and the loss terms — travel through the shared-memory
+exchange plane (:mod:`repro.core.exchange`); the worker pipes carry control
+headers only.  Every shard folds the whole pool closure into its own
+subgraph, so no activations cross shards within a step.
 
 Determinism / equivalence design
 --------------------------------
@@ -114,7 +115,6 @@ __all__ = [
     "WorkerDied",
     "WorkerTimeout",
     "ShardedStepExecutor",
-    "PoolShardedStepExecutor",
 ]
 
 
@@ -284,8 +284,8 @@ def _runtime_stats(runtime) -> Optional[Dict]:
     return dict(runtime.stats.as_dict(), arena=runtime.arena.as_dict())
 
 
-def _trace_section_key(phase: str, model, micro_batches) -> Tuple:
-    """Section key for one worker phase: structure, not per-batch content."""
+def _trace_section_key(model, micro_batches) -> Tuple:
+    """Section key for one worker step: structure, not per-batch content."""
     from ..tensor import engine as tensor_engine
     from ..tensor.trace import model_trace_signature
 
@@ -296,157 +296,7 @@ def _trace_section_key(phase: str, model, micro_batches) -> Tuple:
             if batch is not None and len(batch) > 0
         )
     )
-    return (phase, model_trace_signature(model), present, tensor_engine.get_dtype().str)
-
-
-class _TablePublisher:
-    """Worker-side zero-copy publisher of owned activation-table rows.
-
-    One instance lives for the worker's whole life and is handed to
-    ``encode_shard_step`` as its ``publish`` hook.  :meth:`bind` points it
-    at the current step's exchange (the client already tracks the current
-    slot and table generation), while the per-domain *pin providers* it
-    arms for the traced gather op are stable callables — a replayed encode
-    program re-resolves them every step, so the op's output slab is always
-    the current double-buffer slot's owned slice of the current table
-    segment (see :func:`repro.tensor.trace.pinned_output`).
-    """
-
-    def __init__(self, client: ExchangeClient, shard_index: int, runtime) -> None:
-        self._client = client
-        self._shard = int(shard_index)
-        self._runtime = runtime
-        self._exchange = None
-        self._providers: Dict[str, object] = {}
-
-    def bind(self, exchange) -> None:
-        self._exchange = exchange
-
-    def _dest(self, key: str) -> Optional[np.ndarray]:
-        """This shard's contiguous owned slice of one domain's table."""
-        exchange = self._exchange
-        owned = exchange.owned_range(key, self._shard)
-        if owned is None:
-            return None  # hand-built, non-owner-grouped exchange
-        table = self._client.table_view(key, exchange.size(key))
-        return table[owned[0] : owned[1]]
-
-    def _provider(self, key: str):
-        provider = self._providers.get(key)
-        if provider is None:
-
-            def provider(shape, dtype, _key=key):
-                return self._dest(_key)
-
-            self._providers[key] = provider
-        return provider
-
-    def __call__(self, key: str, user_g1, owned_local) -> None:
-        if user_g1 is None:
-            return  # domain inactive on this shard: nothing owned to publish
-        rows = np.asarray(owned_local, dtype=np.int64)
-        dest = self._dest(key)
-        if dest is None:
-            # Non-grouped layout: plain fancy-index write (re-executed on
-            # every traced replay like any other raw-numpy statement).
-            table = self._client.table_view(key, self._exchange.size(key))
-            table[self._exchange.owned_positions(key, self._shard)] = (
-                user_g1.data[rows]
-            )
-            return
-        runtime = self._runtime
-        if runtime is not None and runtime._mode is not None:
-            # Traced record/replay: run the gather as an op whose output
-            # slab *is* the shm slice — replays write straight into the
-            # current slot with zero serialization and zero copies.
-            from ..tensor import ops
-            from ..tensor.trace import pinned_output
-
-            with pinned_output(self._provider(key)):
-                ops.gather_rows(user_g1, rows)
-        else:
-            np.take(user_g1.data, rows, axis=0, out=dest, mode="clip")
-
-
-def _owned_signature(exchange, shard_index: int) -> Tuple[bool, ...]:
-    """Per-domain "this shard owns exchange rows" mask (trace-key component).
-
-    The zero-copy publish records a gather op per *owned* domain, so the
-    encode program's structure depends on this mask; folding it into the
-    section key turns what would be a guard-mismatch re-trace into a
-    separate cached program.
-    """
-    sig = []
-    for key in DOMAIN_KEYS:
-        owned = exchange.owned_range(key, shard_index)
-        if owned is None:
-            sig.append(bool(np.any(exchange.owners[key] == shard_index)))
-        else:
-            sig.append(owned[1] > owned[0])
-    return tuple(sig)
-
-
-def _single_phase_step(
-    shard_index: int,
-    connection,
-    model,
-    parameters,
-    grad_views: Sequence[np.ndarray],
-    micro_batches,
-    pools,
-    full_sizes,
-    localize: bool,
-    runtime,
-    client: ExchangeClient,
-) -> None:
-    """One single-phase step: forward/backward → publish → done message.
-
-    The single wire format both worker loops share — :func:`_worker_main`
-    for every step, :func:`_pool_worker_main` for the pool-free fallback —
-    so :meth:`ShardedStepExecutor._collect_single_phase` can parse either.
-    With a trace ``runtime``, the forward+backward runs as one traced
-    section; zero-grad and the gradient publish stay eager.  The done
-    message is a control header whose term/presence arrays live in the
-    shard's shm reply slot.
-    """
-    for parameter in parameters:
-        parameter.zero_grad()
-
-    def forward_backward():
-        result = model.compute_shard_loss(
-            micro_batches,
-            pools=pools,
-            full_sizes=full_sizes,
-            localize=localize,
-            include_extra=shard_index == 0,
-        )
-        if result.loss is not None:
-            result.loss.backward()
-        return result
-
-    if runtime is None:
-        result = forward_backward()
-    else:
-        from ..tensor.trace import model_rng_sources
-
-        result = runtime.run_section(
-            _trace_section_key("shard", model, micro_batches),
-            forward_backward,
-            rng_sources=model_rng_sources(model),
-        )
-    present = _publish_worker_gradients(parameters, grad_views)
-    header = client.pack_reply(
-        {
-            "terms": result.terms,
-            "reductions": result.reductions,
-            "extra": result.extra,
-            "value_dtype": result.value_dtype,
-            "present": present,
-        }
-    )
-    connection.send(
-        ("done", header, _runtime_stats(runtime), client.take_grow_request())
-    )
+    return ("shard", model_trace_signature(model), present, tensor_engine.get_dtype().str)
 
 
 def _close_inherited_fds(parent_fds: Sequence[int]) -> None:
@@ -474,7 +324,13 @@ def _worker_main(
     localize: bool,
     traced: bool = False,
 ) -> None:
-    """Shard worker loop: recv step → forward/backward → publish gradients."""
+    """Shard worker loop: recv step → forward/backward → publish gradients.
+
+    With ``traced`` the forward+backward runs as one traced section;
+    zero-grad and the gradient publish stay eager.  The done message is a
+    control header whose term/presence arrays live in the shard's shm reply
+    slot.
+    """
     client = ExchangeClient()
     try:
         _close_inherited_fds(parent_fds)
@@ -502,18 +358,43 @@ def _worker_main(
             faults.worker_step(shard_index, step_counter)
             step_counter += 1
             try:
-                _single_phase_step(
-                    shard_index,
-                    connection,
-                    model,
-                    parameters,
-                    grad_views,
-                    micro_batches,
-                    pools,
-                    full_sizes,
-                    localize,
-                    runtime,
-                    client,
+                for parameter in parameters:
+                    parameter.zero_grad()
+
+                def forward_backward():
+                    result = model.compute_shard_loss(
+                        micro_batches,
+                        pools=pools,
+                        full_sizes=full_sizes,
+                        localize=localize,
+                        include_extra=shard_index == 0,
+                    )
+                    if result.loss is not None:
+                        result.loss.backward()
+                    return result
+
+                if runtime is None:
+                    result = forward_backward()
+                else:
+                    from ..tensor.trace import model_rng_sources
+
+                    result = runtime.run_section(
+                        _trace_section_key(model, micro_batches),
+                        forward_backward,
+                        rng_sources=model_rng_sources(model),
+                    )
+                present = _publish_worker_gradients(parameters, grad_views)
+                header = client.pack_reply(
+                    {
+                        "terms": result.terms,
+                        "reductions": result.reductions,
+                        "extra": result.extra,
+                        "value_dtype": result.value_dtype,
+                        "present": present,
+                    }
+                )
+                connection.send(
+                    ("done", header, _runtime_stats(runtime), client.take_grow_request())
                 )
             except BaseException as error:  # noqa: BLE001 — forwarded to the parent
                 connection.send(("error", repr(error), traceback.format_exc()))
@@ -615,8 +496,6 @@ class ShardedStepExecutor(StepExecutor):
         #: Executor-global step counter: drives the exchange plane's
         #: double-buffer flip and the ``exchange_overflow`` fault point.
         self._global_step = 0
-        self._table_spec: Optional[Tuple[int, str]] = None
-        self._table_hints: Optional[Dict[str, int]] = None
         #: Final cumulative trace-stat snapshots of workers that no longer
         #: run (died + respawned, or torn down by a degrade), kept so the
         #: merged ``repro profile --traced`` report neither loses nor
@@ -712,7 +591,7 @@ class ShardedStepExecutor(StepExecutor):
             except OSError:  # pragma: no cover — already closed
                 pass
         worker = self._context.Process(
-            target=self._worker_target(),
+            target=_worker_main,
             args=(
                 shard_index,
                 child_end,
@@ -777,10 +656,6 @@ class ShardedStepExecutor(StepExecutor):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _worker_target(self):
-        """The worker-process entry point (overridden by the pool executor)."""
-        return _worker_main
 
     # ------------------------------------------------------------------
     # the step
@@ -972,8 +847,8 @@ class ShardedStepExecutor(StepExecutor):
             f"--- worker traceback ---\n{message[2]}"
         )
 
-    def _collect_single_phase(self) -> List[ShardLoss]:
-        """Receive every shard's one-shot step result.
+    def _collect(self) -> List[ShardLoss]:
+        """Receive every shard's step result.
 
         Each reply is ``("done", header, trace_stats, grow)``, its arrays
         living in the shard's shm reply slot.
@@ -1048,15 +923,10 @@ class ShardedStepExecutor(StepExecutor):
         )
         return step_index
 
-    def _dispatch_plane(self, split: ShardSplit, step_index: int, bcast_payload,
-                        tables_env) -> None:
+    def _dispatch_plane(self, split: ShardSplit, step_index: int, pools) -> None:
         """Send every shard its step envelope (control header over the pipe)."""
         plane = self._plane
-        bcast = (
-            plane.pack("bcast", bcast_payload, "broadcast")
-            if bcast_payload is not None
-            else None
-        )
+        bcast = plane.pack("bcast", pools, "broadcast") if pools is not None else None
         for shard_index in range(self.n_shards):
             env = {
                 "step": step_index,
@@ -1069,11 +939,10 @@ class ShardedStepExecutor(StepExecutor):
                 "bcast": bcast,
                 "full_sizes": split.full_sizes,
                 "reply": plane.descriptor(f"w2p{shard_index}"),
-                "tables": tables_env,
             }
             self._send_supervised(shard_index, (_STEP, env))
 
-    def _single_phase_reply_bound(self, split: ShardSplit) -> int:
+    def _reply_bound(self, split: ShardSplit) -> int:
         """Generous upper bound on one shard's reply-slot bytes.
 
         Loss-term layouts are model-private (stage-blocked for NMCDR), so
@@ -1088,13 +957,13 @@ class ShardedStepExecutor(StepExecutor):
         return bound
 
     def _attempt_step(self, batches, pools) -> float:
-        """One supervised execution of the single-phase protocol."""
+        """One supervised execution of the step protocol."""
         split = split_joint_batch(batches, self.n_shards)
         with profiler.scope("train/dispatch"):
-            step_index = self._begin_plane_step(self._single_phase_reply_bound(split))
-            self._dispatch_plane(split, step_index, pools, None)
+            step_index = self._begin_plane_step(self._reply_bound(split))
+            self._dispatch_plane(split, step_index, pools)
         with profiler.scope("train/shard_wait"):
-            results = self._collect_single_phase()
+            results = self._collect()
         with profiler.scope("train/reduce"):
             reduce_gradient_shards(
                 self.optimizer.parameters,
@@ -1159,411 +1028,3 @@ class ShardedStepExecutor(StepExecutor):
         if total is None:
             raise ValueError("run_step needs at least one non-empty batch")
         return float(total)
-
-
-def _pool_worker_main(
-    shard_index: int,
-    connection,
-    parent_fds: Sequence[int],
-    model,
-    parameters,
-    param_views: Sequence[np.ndarray],
-    grad_views: Sequence[np.ndarray],
-    localize: bool,
-    traced: bool = False,
-) -> None:
-    """Pool-sharded worker loop: encode → gather → match → scatter → finish.
-
-    Each step runs the two-phase protocol of
-    :class:`PoolShardedStepExecutor`: phase 1 encodes the micro-batch
-    closure plus this shard's *owned* slice of the pool exchange and writes
-    the owned encoder activations into the shared activation table; after
-    the parent's all-gather barrier, phase 2 runs the matching stages
-    against the full table, backwards up to the boundary and stages the
-    table gradients in its reply slot; after the parent's mirrored scatter,
-    phase 3 backwards its owned slice of the summed gradients through the
-    encoder and publishes the combined parameter gradients.
-
-    Steps of models without matching pools (``exchange is None``) fall back
-    to the single-phase protocol of :func:`_worker_main` unchanged (the
-    shared :func:`_single_phase_step` helper keeps the wire formats one).
-
-    With tracing enabled each phase records/replays as its *own* program
-    (``encode`` has no backward event; ``match`` and ``finish`` each carry
-    one).  The finish surrogate chains through the encode program's recycled
-    nodes, so an encode-side re-trace invalidates the finish program's
-    guards on the same step and both self-heal together.
-    """
-    client = ExchangeClient()
-    try:
-        _close_inherited_fds(parent_fds)
-        _attach_worker(model, parameters, param_views, localize)
-        runtime = _make_worker_runtime(model, traced)
-        publisher = _TablePublisher(client, shard_index, runtime)
-        step_counter = 0
-        while True:
-            try:
-                message = connection.recv()
-            except (EOFError, OSError):
-                return
-            if message[0] == _STOP:
-                return
-            env = message[1]
-            client.begin_step(env)
-            micro_batches = client.unpack(env["micro"], copy=True)
-            bcast = env["bcast"]
-            pools, exchange = (
-                client.unpack(bcast, copy=True) if bcast is not None else (None, None)
-            )
-            full_sizes = env["full_sizes"]
-            step_index = step_counter
-            step_counter += 1
-            try:
-                if exchange is None:
-                    faults.worker_step(shard_index, step_index)
-                    _single_phase_step(
-                        shard_index,
-                        connection,
-                        model,
-                        parameters,
-                        grad_views,
-                        micro_batches,
-                        pools,
-                        full_sizes,
-                        localize,
-                        runtime,
-                        client,
-                    )
-                    continue
-                faults.worker_step(shard_index, step_index, "enc")
-                for parameter in parameters:
-                    parameter.zero_grad()
-                publisher.bind(exchange)
-
-                def encode_phase():
-                    return model.encode_shard_step(
-                        micro_batches,
-                        pools=pools,
-                        exchange=exchange,
-                        shard_index=shard_index,
-                        full_sizes=full_sizes,
-                        publish=publisher,
-                    )
-
-                if runtime is None:
-                    state = encode_phase()
-                    rng_sources = ()
-                else:
-                    from ..tensor.trace import model_rng_sources
-
-                    # The zero-copy publish records one gather op per *owned*
-                    # domain, so the program structure depends on the
-                    # ownership mask too.
-                    section_key = _trace_section_key(
-                        "encode", model, micro_batches
-                    ) + (_owned_signature(exchange, shard_index),)
-                    rng_sources = model_rng_sources(model)
-                    state = runtime.run_section(
-                        section_key,
-                        encode_phase,
-                        rng_sources=rng_sources,
-                    )
-                # Owned table rows were written in place; the reply is a bare
-                # barrier tag (plus any piggybacked grow request).
-                connection.send(("enc", None, client.take_grow_request()))
-                message = connection.recv()
-                if message[0] == _STOP:
-                    return
-                tables = {
-                    key: client.table_view(key, exchange.size(key))
-                    for key in DOMAIN_KEYS
-                }
-                # Boundary-gradient buffers are staged in the reply slot
-                # *before* the phase runs so the model's copyto is the only
-                # copy the gradients ever take.
-                boundary_out = {
-                    key: client.alloc_reply(tables[key].shape, tables[key].dtype)
-                    for key in DOMAIN_KEYS
-                }
-                faults.worker_step(shard_index, step_index, "match")
-
-                def match_phase():
-                    return model.match_shard_step(
-                        state,
-                        tables,
-                        include_extra=shard_index == 0,
-                        boundary_out=boundary_out,
-                    )
-
-                if runtime is None:
-                    result, boundary = match_phase()
-                else:
-                    result, boundary = runtime.run_section(
-                        _trace_section_key("match", model, micro_batches),
-                        match_phase,
-                        rng_sources=rng_sources,
-                    )
-                header = client.pack_reply(
-                    {
-                        "terms": result.terms,
-                        "reductions": result.reductions,
-                        "extra": result.extra,
-                        "value_dtype": result.value_dtype,
-                        "boundary": boundary,
-                    }
-                )
-                connection.send(("match", header, client.take_grow_request()))
-                message = connection.recv()
-                if message[0] == _STOP:
-                    return
-                # The summed gradients live in the shared "summed" region;
-                # this shard reads its owned slice directly.
-                owned_grads = {}
-                for key in DOMAIN_KEYS:
-                    summed = client.table_view(key, exchange.size(key), which="summed")
-                    owned = exchange.owned_range(key, shard_index)
-                    if owned is not None:
-                        owned_grads[key] = summed[owned[0] : owned[1]]
-                    else:
-                        owned_grads[key] = np.ascontiguousarray(
-                            summed[exchange.owned_positions(key, shard_index)]
-                        )
-                faults.worker_step(shard_index, step_index, "finish")
-                if runtime is None:
-                    model.finish_shard_step(state, owned_grads)
-                else:
-                    runtime.run_section(
-                        _trace_section_key("finish", model, micro_batches),
-                        lambda: model.finish_shard_step(state, owned_grads),
-                        rng_sources=rng_sources,
-                    )
-                present = _publish_worker_gradients(parameters, grad_views)
-                header = client.pack_reply({"present": present})
-                connection.send(
-                    (
-                        "done",
-                        header,
-                        _runtime_stats(runtime),
-                        client.take_grow_request(),
-                    )
-                )
-            except BaseException as error:  # noqa: BLE001 — forwarded to the parent
-                connection.send(("error", repr(error), traceback.format_exc()))
-    finally:
-        client.close()
-        try:
-            connection.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-class PoolShardedStepExecutor(ShardedStepExecutor):
-    """Sharded executor with a partitioned matching-pool closure.
-
-    The replicated :class:`ShardedStepExecutor` folds the whole pool closure
-    into every shard's subgraph, so per-shard step cost carries a fixed
-    O(pool) term — the Amdahl floor of ``BENCH_efficiency.json:
-    sharded_scaling``.  This executor partitions the pool closure across
-    shards instead and exchanges only the pool users' *encoder activations*
-    through one extra IPC round per step, with the mirrored gradient
-    exchange on the way back.  Per-shard cost then follows
-    ``batch + pool/n_shards``.
-
-    Step protocol (strict lock-step, liveness-polled at every phase; every
-    payload lives in the shm exchange plane, the pipes carry tags and
-    headers)::
-
-        parent: publish params → draw pools → partition pool closure
-                → dispatch (micro-batch, pools, full sizes, exchange)
-        shard:  phase 1 — encode batch closure + owned pool slice,
-                write owned activations into the shared table
-        parent: all-gather barrier, broadcast go-ahead
-        shard:  phase 2 — matching stages over local rows + table,
-                backward to the boundary, reply loss terms + table grads
-        parent: sum table grads in fixed shard order into the shared
-                summed table, scatter go-ahead
-        shard:  phase 3 — encoder backward seeded with its owned slice of
-                the summed gradients, publish parameter gradients
-        parent: fixed-order reduce → clip → one optimiser update
-
-    Determinism matches the replicated executor's contract: pools are drawn
-    once in the parent (identical rng stream and mid-training evaluation),
-    losses reduce in canonical batch order, table gradients and parameter
-    gradients sum in fixed shard order.  Loss values are bit-identical per
-    step given equal parameters; the gradient sum re-associates across the
-    boundary, so epoch losses track the replicated executor at float64 ulp
-    level while validation metrics stay bit-identical (gated in
-    ``tests/test_pool_sharded_executor.py``).
-
-    Models without matching pools (``plan_pool_exchange`` missing or
-    returning ``None`` — the pointwise baselines) degenerate to the
-    replicated single-phase protocol unchanged.
-    """
-
-    def _worker_target(self):
-        return _pool_worker_main
-
-    def _load_table_spec(self) -> Tuple[int, str]:
-        """The model's (row dim, dtype) table spec + capacity hints, cached."""
-        if self._table_spec is None:
-            self._table_spec = tuple(self.model.exchange_table_spec())
-            self._table_hints = self.model.exchange_plane_hints()
-        return self._table_spec
-
-    def _pool_reply_bound(self, split: ShardSplit, exchange, dim: int,
-                          itemsize: int) -> int:
-        """Single-phase bound plus the staged boundary-gradient tables."""
-        bound = self._single_phase_reply_bound(split)
-        for key in DOMAIN_KEYS:
-            bound += exchange.size(key) * dim * itemsize + 64
-        return bound
-
-    def _attempt_step(self, batches, pools) -> float:
-        """One supervised execution of the pool-exchange protocol."""
-        exchange = (
-            self.model.plan_pool_exchange(pools, self.n_shards)
-            if pools is not None and self.model.capabilities().pool_exchange
-            else None
-        )
-        split = split_joint_batch(batches, self.n_shards)
-        # A model that plans a pool exchange also provides the table spec the
-        # plane lays its activation / summed-gradient regions out from — the
-        # ``pool_exchange`` capability declares both halves of the contract.
-        plane = self._plane
-        if exchange is not None:
-            dim, dtype_str = self._load_table_spec()
-            reply_bound = self._pool_reply_bound(
-                split, exchange, dim, np.dtype(dtype_str).itemsize
-            )
-        else:
-            reply_bound = self._single_phase_reply_bound(split)
-        step_index = self._begin_plane_step(reply_bound)
-        if exchange is not None:
-            # After begin_step: a forced regrow must not invalidate the
-            # table descriptors the envelope is about to carry.
-            plane.ensure_tables(
-                {key: exchange.size(key) for key in DOMAIN_KEYS},
-                dim,
-                dtype_str,
-                capacity_hint=self._table_hints,
-            )
-            tables_env = plane.tables_env()
-        else:
-            tables_env = None
-        bcast_payload = (
-            (pools, exchange) if pools is not None or exchange is not None else None
-        )
-        with profiler.scope("train/dispatch"):
-            self._dispatch_plane(split, step_index, bcast_payload, tables_env)
-        if exchange is None:
-            with profiler.scope("train/shard_wait"):
-                results = self._collect_single_phase()
-        else:
-            results = self._run_exchange_rounds(exchange)
-        with profiler.scope("train/reduce"):
-            reduce_gradient_shards(
-                self.optimizer.parameters,
-                self._grad_views,
-                [result.present for result in results],
-            )
-        with profiler.scope("train/optimizer"):
-            if self.grad_clip_norm is not None:
-                clip_grad_norm(self.model.parameters(), self.grad_clip_norm)
-            self.optimizer.step()
-        self.model.invalidate_cache()
-        return self._assemble_loss(split, results)
-
-    # ------------------------------------------------------------------
-    # the two-phase exchange
-    # ------------------------------------------------------------------
-    def _broadcast(self, message) -> None:
-        for shard_index in range(self.n_shards):
-            self._send_supervised(shard_index, message)
-
-    def _run_exchange_rounds(self, exchange) -> List[ShardLoss]:
-        """The gather/broadcast/scatter rounds over the exchange plane.
-
-        Workers write their owned activation rows straight into the shared
-        ``tables`` region during encode, so the gather is a bare reply
-        barrier and the broadcast a bare go-ahead tag; the parent sums the
-        boundary gradients into the shared ``summed`` region (fixed shard
-        order — the deterministic reduction the equivalence gates rely on)
-        and the scatter is again just a tag, each shard reading its owned
-        slice in place.
-        """
-        plane = self._plane
-        stats = self.comms_stats
-        dim, dtype_str = self._table_spec
-        itemsize = np.dtype(dtype_str).itemsize
-        table_bytes = sum(
-            exchange.size(key) * dim * itemsize for key in DOMAIN_KEYS
-        )
-
-        # Phase 1 barrier: every shard has published its owned table rows.
-        with profiler.scope("train/pool_gather"):
-            for shard_index in range(self.n_shards):
-                message = self._receive_supervised(shard_index)
-                if message[0] == "error":
-                    self._raise_worker_failure(shard_index, message)
-                plane.request_grow(message[2])
-            stats.record(
-                "gather", messages=self.n_shards, shm_bytes=table_bytes
-            )
-            self._broadcast(("tables",))
-            stats.record(
-                "broadcast",
-                messages=self.n_shards,
-                shm_bytes=table_bytes * self.n_shards,
-            )
-
-        # Phase 2: per-shard loss terms + boundary gradients (shm headers).
-        results: List[ShardLoss] = []
-        boundaries: List[Dict[str, np.ndarray]] = []
-        with profiler.scope("train/shard_wait"):
-            for shard_index in range(self.n_shards):
-                message = self._receive_supervised(shard_index)
-                if message[0] == "error":
-                    self._raise_worker_failure(shard_index, message)
-                plane.request_grow(message[2])
-                payload = plane.unpack(message[1], "loss")
-                results.append(
-                    ShardLoss(
-                        terms=payload["terms"],
-                        reductions=payload["reductions"],
-                        extra=payload["extra"],
-                        value_dtype=payload["value_dtype"],
-                    )
-                )
-                boundaries.append(payload["boundary"])
-
-        # Mirrored backward exchange, summed in place in the shared region.
-        with profiler.scope("train/pool_scatter"):
-            started = time.perf_counter()
-            for key in DOMAIN_KEYS:
-                total = plane.table_view(key, exchange.size(key), which="summed")
-                total[...] = 0.0
-                for boundary in boundaries:
-                    grads = boundary.get(key)
-                    if grads is not None and grads.size:
-                        total += grads
-            stats.record(
-                "scatter",
-                messages=self.n_shards,
-                shm_bytes=table_bytes,
-                pack_s=time.perf_counter() - started,
-            )
-            self._broadcast(("grads",))
-
-        # Phase 3: encoder backwards complete; collect gradient presence.
-        with profiler.scope("train/shard_wait"):
-            for shard_index in range(self.n_shards):
-                message = self._receive_supervised(shard_index)
-                if message[0] == "error":
-                    self._raise_worker_failure(shard_index, message)
-                plane.request_grow(message[3])
-                payload = plane.unpack(message[1], "finish", copy=True)
-                results[shard_index].present = payload["present"]
-                trace_stats = message[2]
-                if trace_stats is not None:
-                    self._shard_trace_stats[shard_index] = trace_stats
-        return results

@@ -70,14 +70,9 @@ class CDRTrainer:
             weight_decay=self.config.weight_decay,
         )
         if self._executor is None and self.config.executor == "sharded":
-            from .sharded import PoolShardedStepExecutor, ShardedStepExecutor
+            from .sharded import ShardedStepExecutor
 
-            executor_cls = (
-                PoolShardedStepExecutor
-                if self.config.pool_sharding
-                else ShardedStepExecutor
-            )
-            self._executor = executor_cls(
+            self._executor = ShardedStepExecutor(
                 model,
                 self.optimizer,
                 grad_clip_norm=self.config.grad_clip_norm,

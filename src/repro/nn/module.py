@@ -23,7 +23,7 @@ __all__ = ["ModelCapabilities", "Parameter", "Module", "ModuleList", "Sequential
 class ModelCapabilities:
     """Declared execution capabilities of a model (no ``hasattr`` probing).
 
-    Consumers — the trainer, the sharded executors and the serving tier —
+    Consumers — the trainer, the sharded executor and the serving tier —
     branch on these flags instead of probing for method names, so a model
     states explicitly which optional protocols it implements:
 
@@ -31,16 +31,12 @@ class ModelCapabilities:
       ``encode_representations`` (per-user encoder outputs) and
       ``match_representations`` (the matching/complementing stages) and
       scores representation rows via ``score_pairs``.  This is the boundary
-      the pool-sharded executor exchanges activations across and the
-      serving tier persists as its representation store.
+      the serving tier persists as its representation store.
     * ``sharding`` — the model decomposes a training step into per-shard
       losses (``compute_shard_loss``) that sum to the full-batch loss.
     * ``matching_pools`` — the model draws per-step matching pools from its
-      own rng (``sample_step_pools``), which the sharded executors must
+      own rng (``sample_step_pools``), which the sharded executor must
       draw parent-side so retries never perturb the rng stream.
-    * ``pool_exchange`` — the model can partition its pool closure across
-      shards (``plan_pool_exchange`` / ``exchange_table_spec`` /
-      ``exchange_plane_hints``).
     * ``subgraph_sampling`` — the model supports restricted k-hop training
       forwards (``configure_subgraph_sampling``).
     """
@@ -48,7 +44,6 @@ class ModelCapabilities:
     encode_match_split: bool = False
     sharding: bool = False
     matching_pools: bool = False
-    pool_exchange: bool = False
     subgraph_sampling: bool = False
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import copy
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -61,49 +60,11 @@ __all__ = [
     "OpStep",
     "model_rng_sources",
     "model_trace_signature",
-    "pinned_output",
 ]
 
 
 class TraceGuardMismatch(Exception):
     """A replayed section diverged from its recording; caller must re-trace."""
-
-
-# ----------------------------------------------------------------------
-# externally-backed output slabs
-# ----------------------------------------------------------------------
-#: Provider armed by :func:`pinned_output` for the next recorded/replayed op.
-_pending_pin: Optional[Callable[[tuple, np.dtype], np.ndarray]] = None
-
-
-def _take_pending_pin():
-    global _pending_pin
-    pin, _pending_pin = _pending_pin, None
-    return pin
-
-
-@contextmanager
-def pinned_output(provider):
-    """Back the next op's output slab with an externally-owned buffer.
-
-    ``provider(shape, dtype)`` must return a writable C-contiguous array of
-    exactly that shape/dtype — typically a view into a shared-memory block.
-    Under recording the op's eager result is copied into the provided buffer
-    and the output node rebound to it, so the recorded program's slab *is*
-    the external buffer; every replay re-resolves the provider, letting the
-    owner swap the backing store (double-buffer slot flips, regrown
-    segments) between steps without retracing.  Outside tracing the provider
-    is consumed by the caller directly (see ``_TablePublisher``); arming it
-    here is a no-op for untraced ops only if the wrapped op never fires, so
-    callers must pair the context with exactly one op call.
-    """
-    global _pending_pin
-    previous = _pending_pin
-    _pending_pin = provider
-    try:
-        yield
-    finally:
-        _pending_pin = previous
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +212,7 @@ class OpStep:
     __slots__ = (
         "name", "hook", "node", "forward", "backward", "descriptors",
         "array_sig", "args", "kwargs", "saved", "out_slab", "grad",
-        "has_grad", "requires", "arena", "scratch", "pinned",
+        "has_grad", "requires", "arena", "scratch",
     )
 
     def __init__(self, name, hook, node, forward, backward, descriptors,
@@ -272,15 +233,9 @@ class OpStep:
         self.requires = bool(node.requires_grad)
         self.arena = arena
         self.scratch: Dict[str, np.ndarray] = {}
-        self.pinned: Optional[Callable] = None
 
     def slab(self, shape, dtype) -> np.ndarray:
         """Persistent output buffer, rebound when the step's shape changes."""
-        if self.pinned is not None:
-            # Externally-backed step: the provider owns the buffer (e.g. a
-            # shm exchange slot), re-resolved every replay so the backing
-            # store may move between steps.  Never arena-tracked.
-            return self.pinned(shape, dtype)
         out = self.out_slab
         if out is None or out.shape != shape or out.dtype != dtype:
             out = self.arena.allocate(out, shape, dtype)
@@ -1691,7 +1646,6 @@ class TraceRuntime:
     # record mode
     # ------------------------------------------------------------------
     def _record_op(self, name, args, kwargs, result) -> None:
-        pin = _take_pending_pin()
         program = self._record_program
         if program.untraceable:
             return
@@ -1710,14 +1664,6 @@ class TraceRuntime:
             _describe_arrays(args, kwargs),
             self.arena,
         )
-        if pin is not None:
-            # The eager pass already produced the value; move it into the
-            # externally-owned buffer so the recording's slab is the pin.
-            step.pinned = pin
-            buf = pin(node.data.shape, node.data.dtype)
-            if buf is not node.data:
-                np.copyto(buf, node.data)
-                node.data = buf
         node._trace_step = step
         program.steps.append(step)
 
@@ -1747,9 +1693,6 @@ class TraceRuntime:
     # replay mode
     # ------------------------------------------------------------------
     def _replay_op(self, name, args, kwargs):
-        # A pin armed for this op was captured on the recorded step; consume
-        # the pending one so it cannot leak onto the next op.
-        _take_pending_pin()
         program = self._replay_program
         index = self._cursor
         if index >= len(program.steps):

@@ -4,7 +4,7 @@ The headline guarantee gated here: a training run killed at any checkpoint
 boundary and resumed from the file replays the remainder of the run
 **bit-identically** under the float64 default dtype — epoch losses,
 validation metrics and final parameters all match an uninterrupted run
-exactly, for the serial executor and both sharded executors.
+exactly, for the serial and the sharded executor.
 
 The unit surface covers the schema-versioning satellite: a version
 mismatch, a truncated payload, a flipped byte or a mismatched config all
@@ -134,14 +134,16 @@ class TestResumeBitIdentity:
         )
 
     @pytest.mark.slow
-    def test_pool_sharded(self, task, tmp_path):
+    def test_sharded_sampled(self, task, tmp_path):
+        # The parent's pool sampler state rides in the checkpoint, so the
+        # resumed run broadcasts the same pools from the resume point on.
         assert_resume_bit_identical(
             task,
             tmp_path,
             mid_epoch,
             executor="sharded",
             n_shards=2,
-            pool_sharding=True,
+            sampled_subgraph_training=True,
         )
 
     def test_resume_from_directory_resolves_newest(self, task, tmp_path):
@@ -382,34 +384,40 @@ class TestWriteAtomicity:
 # ----------------------------------------------------------------------
 # run directories written before trainer fields were retired
 # ----------------------------------------------------------------------
+def train_run_directory(directory):
+    """``repro train`` a two-epoch run checkpointed after every epoch."""
+    from repro.cli import main as cli_main
+
+    rc = cli_main(
+        [
+            "train",
+            "--scale", "0.3",
+            "--epochs", "2",
+            "--embedding-dim", "8",
+            "--negatives", "10",
+            "--batch-size", "128",
+            "--seed", "0",
+            "--checkpoint-dir", str(directory),
+            "--checkpoint-every", "1",
+            "--checkpoint-keep", "0",
+        ]
+    )
+    assert rc == 0
+
+
 class TestRetiredConfigFields:
     def test_old_run_directory_resumes_bit_identically(self, tmp_path, capsys):
         """``scheduled_subgraph_plans``, ``shm_exchange`` and
         ``prefetch_epochs`` only chose between numerically identical
-        implementations and are gone from ``TrainerConfig``.  A run directory
-        whose ``run.json`` and checkpoint fingerprint still name them, and
-        whose checkpoint history still holds the retired
+        implementations and are gone from ``TrainerConfig``; so is
+        ``pool_sharding``, whose ``False`` named the executor that remains.
+        A run directory whose ``run.json`` and checkpoint fingerprint still
+        name them, and whose checkpoint history still holds the retired
         ``data_wait_seconds_total``, must resume through ``repro resume``
         exactly like the uninterrupted run."""
         from repro.cli import main as cli_main
 
-        def train(directory):
-            rc = cli_main(
-                [
-                    "train",
-                    "--scale", "0.3",
-                    "--epochs", "2",
-                    "--embedding-dim", "8",
-                    "--negatives", "10",
-                    "--batch-size", "128",
-                    "--seed", "0",
-                    "--checkpoint-dir", str(directory),
-                    "--checkpoint-every", "1",
-                    "--checkpoint-keep", "0",
-                ]
-            )
-            assert rc == 0
-
+        train = train_run_directory
         train(tmp_path / "reference")
         old = tmp_path / "old"
         train(old)
@@ -419,6 +427,7 @@ class TestRetiredConfigFields:
             "scheduled_subgraph_plans": False,
             "shm_exchange": True,
             "prefetch_epochs": 1,
+            "pool_sharding": False,
         }
         run_file = old / "run.json"
         run = json.loads(run_file.read_text())
@@ -446,3 +455,38 @@ class TestRetiredConfigFields:
             resumed.adam_m + resumed.adam_v, reference.adam_m + reference.adam_v
         ):
             assert np.array_equal(ours, theirs)
+
+    def test_pool_sharded_run_refuses_resume_but_still_serves(self, tmp_path):
+        """A run saved with ``pool_sharding=True`` trained on an executor
+        that is gone and that tracked the remaining one only to float64 ulp
+        level, so this code cannot replay it: ``repro resume`` must fail with
+        a typed error naming the field, neither a ``TypeError`` nor a run
+        continued on another executor.  Serving loads parameters only, so
+        the same checkpoints still build a store and hot-reload."""
+        from repro.cli import main as cli_main
+        from repro.serve import HotReloader, ServeSession
+
+        directory = tmp_path / "pool-sharded"
+        train_run_directory(directory)
+        first, last = list_checkpoints(directory)
+        planted = {"executor": "sharded", "n_shards": 2, "pool_sharding": True}
+        run_file = directory / "run.json"
+        run = json.loads(run_file.read_text())
+        run["trainer"].update(planted)
+        run_file.write_text(json.dumps(run))
+        for path in (first, last):
+            rewrite_meta(path, lambda meta: meta["config"].update(planted))
+
+        with pytest.raises(CheckpointError, match="pool_sharding"):
+            cli_main(
+                ["resume", "--checkpoint-dir", str(directory), "--from-checkpoint", str(first)]
+            )
+        # Nothing was trained: the newest checkpoint is still the planted one.
+        assert list_checkpoints(directory) == [first, last]
+        assert load_checkpoint(last).retired_config == {"pool_sharding": True}
+
+        session = ServeSession.from_checkpoint_dir(
+            directory, checkpoint=first, use_best=False
+        )
+        assert session.scorer.store is not None
+        assert HotReloader(session, use_best=False).reload(last).swapped

@@ -1,19 +1,18 @@
 """The shared-memory exchange plane: wire format, lifecycle, equivalence.
 
 Unit level, the :mod:`repro.core.exchange` pieces are exercised directly —
-pack/unpack round trips over nested container trees, in-place reply
-staging, overflow fallback plus grow-request handshake, double buffering,
-generation-counted regrow with lazy worker re-attach, and table layouts.
+pack/unpack round trips over nested container trees, reply packing,
+overflow fallback plus grow-request handshake, double buffering and
+generation-counted regrow with lazy worker re-attach.
 
 Executor level, the headline gates of the plane ride here:
 
 * **Zero pickled data-plane bytes** — in steady state every data-plane
-  payload of pool-sharded (eager and traced) and plain sharded training
-  crosses shared memory; the pipes carry control headers only (structural
-  assert on the executor's comms counters, independent of machine speed).
-  Numeric equivalence of training over the plane is gated against the
-  serial executor in ``test_sharded_executor.py`` and
-  ``test_pool_sharded_executor.py``.
+  payload of sharded training (eager and traced, full-graph and sampled)
+  crosses shared memory in every round; the pipes carry control headers
+  only (structural assert on the executor's comms counters, independent of
+  machine speed).  Numeric equivalence of training over the plane is gated
+  against the serial executor in ``test_sharded_executor.py``.
 * **Run-to-run reproducibility** over the plane.
 * **Leak-free teardown** — closing the executor (or dropping it) leaves
   no ``repro-xp-*`` segment behind in ``/dev/shm``.
@@ -72,7 +71,6 @@ def begin(plane, client, step, *, reply_bound=None, force_regrow=False):
         {
             "slot": step % 2,
             "reply": plane.descriptor("w2p0"),
-            "tables": None,
         }
     )
 
@@ -137,21 +135,34 @@ class TestPackUnpack:
         )
         assert tree_array_bytes(payload) == expected
 
-    def test_reply_roundtrip_with_inplace_staging(self, plane):
+    def test_reply_roundtrip(self, plane):
         plane, client = plane
         begin(plane, client, 0)
-        staged = client.alloc_reply((16, 8), np.float64)
-        staged[...] = np.arange(128, dtype=np.float64).reshape(16, 8)
-        loose = np.full(5, 2.5)
-        header = client.pack_reply({"staged": staged, "loose": loose})
+        payload = {
+            "terms": {"a": np.arange(128, dtype=np.float64).reshape(16, 8)},
+            "present": np.array([True, False, True]),
+            "loose": np.full(5, 2.5, dtype=np.float32),
+            "value_dtype": "float64",
+        }
+        header = client.pack_reply(payload)
         assert header[0] == SHM_HEADER
-        out = plane.unpack(header, "loss")
-        np.testing.assert_array_equal(out["staged"], staged)
-        np.testing.assert_array_equal(out["loose"], loose)
-        # The staged array was referenced in place: the parent view aliases
-        # the very bytes the worker wrote (no second copy).
-        staged[0, 0] = -1.0
-        assert out["staged"][0, 0] == -1.0
+        assert_tree_equal(plane.unpack(header, "loss"), payload)
+
+    def test_matching_pools_broadcast_roundtrip(self, plane, task):
+        # A step's matching pools (per-domain lists of head/tail tuples and
+        # inter-domain arrays) reach every shard through the one broadcast
+        # region; workers keep a private copy past the slot's next reuse.
+        plane, client = plane
+        pools = build_nmcdr(task).sample_step_pools()
+        begin(plane, client, 0)
+        header = plane.pack("bcast", pools, "broadcast")
+        assert header[0] == SHM_HEADER
+        out = client.unpack(header, copy=True)
+        assert_tree_equal(out, pools)
+        intra, inter = out
+        assert intra["a"][0][0].flags["OWNDATA"]
+        assert inter["b"][0].flags["OWNDATA"]
+        assert plane.stats.rounds["broadcast"]["messages"] == 1
 
     def test_double_buffer_keeps_previous_step_readable(self, plane):
         plane, client = plane
@@ -196,13 +207,6 @@ class TestGrowth:
         assert header[0] == SHM_HEADER
         np.testing.assert_array_equal(plane.unpack(header, "loss")["big"], big)
 
-    def test_alloc_reply_overflow_returns_heap_array(self, plane):
-        plane, client = plane
-        begin(plane, client, 0)
-        staged = client.alloc_reply((1 << 12,), np.float64)
-        assert staged.flags["OWNDATA"]  # heap fallback, not a slot view
-        assert client.grow_request
-
     def test_parent_dispatch_overflow_grows_in_place(self, plane):
         plane, client = plane
         begin(plane, client, 0)
@@ -211,6 +215,24 @@ class TestGrowth:
         assert header[0] == SHM_HEADER
         assert plane.stats.grows == 1
         np.testing.assert_array_equal(client.unpack(header)["x"], big["x"])
+
+    def test_broadcast_overflow_grows_in_place(self, plane):
+        plane, client = plane
+        begin(plane, client, 0)
+        old_name, old_generation = plane.descriptor("bcast")[1:3]
+        pools = (
+            {"a": [(np.arange(1 << 10), np.arange(1 << 9))]},
+            {"a": [np.arange(1 << 10)]},
+        )
+        header = plane.pack("bcast", pools, "broadcast")
+        assert header[0] == SHM_HEADER
+        assert plane.stats.grows == 1
+        name, generation = plane.descriptor("bcast")[1:3]
+        assert name != old_name and generation == old_generation + 1
+        # The header names the fresh segment, so the client attaches to it.
+        assert header[1][1] == name
+        assert_tree_equal(client.unpack(header, copy=True), pools)
+        assert plane.stats.pipe_fallbacks == 0
 
     def test_forced_regrow_replaces_every_region(self, plane):
         plane, client = plane
@@ -242,42 +264,6 @@ class TestGrowth:
 
 
 # ----------------------------------------------------------------------
-# table regions
-# ----------------------------------------------------------------------
-class TestTables:
-    def test_layout_views_and_capacity_hint(self, plane):
-        plane, client = plane
-        plane.ensure_tables(
-            {"a": 10, "b": 4}, dim=8, dtype_str="<f8", capacity_hint={"a": 32, "b": 32}
-        )
-        name = plane.descriptor("tables")[1]
-        # Steps within the committed capacity never regrow the regions.
-        plane.ensure_tables({"a": 32, "b": 1}, dim=8, dtype_str="<f8")
-        assert plane.descriptor("tables")[1] == name
-
-        plane.begin_step(0)
-        env = plane.tables_env()
-        client.begin_step(
-            {"slot": 0, "reply": plane.descriptor("w2p0"), "tables": env}
-        )
-        for which in ("tables", "summed"):
-            parent = plane.table_view("a", 10, which=which)
-            parent[...] = np.arange(80, dtype=np.float64).reshape(10, 8)
-            worker = client.table_view("a", 10, which=which)
-            np.testing.assert_array_equal(worker, parent)
-            worker[3, 3] = -5.0  # both sides alias the same slot bytes
-            assert parent[3, 3] == -5.0
-
-    def test_outgrowing_capacity_bumps_generation(self, plane):
-        plane, _ = plane
-        plane.ensure_tables({"a": 4}, dim=8, dtype_str="<f8")
-        name = plane.descriptor("tables")[1]
-        plane.ensure_tables({"a": 4096}, dim=8, dtype_str="<f8")
-        descriptor = plane.descriptor("tables")
-        assert descriptor[1] != name and descriptor[2] == 1
-
-
-# ----------------------------------------------------------------------
 # lifecycle: nothing outlives the plane
 # ----------------------------------------------------------------------
 class TestLifecycle:
@@ -285,9 +271,8 @@ class TestLifecycle:
         before = set(shm_segments())
         plane = ExchangePlane(n_shards=3)
         plane.open()
-        plane.ensure_tables({"a": 64}, dim=16, dtype_str="<f8")
         created = set(shm_segments()) - before
-        assert len(created) == 2 * 3 + 1 + 2  # p2w/w2p per shard, bcast, tables pair
+        assert len(created) == 2 * 3 + 1  # p2w/w2p per shard, bcast
         plane.close()
         assert set(shm_segments()) & created == set()
 
@@ -322,31 +307,44 @@ def fit_trainer(task, **config_overrides):
 
 class TestExecutorEquivalence:
     @pytest.mark.parametrize("traced", [False, True], ids=["eager", "traced"])
-    def test_pool_sharded_plane_moves_no_pipe_data(self, task, traced):
-        trainer, _ = fit_trainer(task, pool_sharding=True, traced_steps=traced)
+    def test_plain_sharded_plane_moves_no_pipe_data(self, task, traced):
+        trainer, _ = fit_trainer(task, traced_steps=traced)
         # Structural steady-state gate: every data-plane payload crossed
-        # shared memory, in every round of the pool-exchange protocol.
+        # shared memory, in every round of the step protocol.
         stats = trainer._executor.comms_stats
         assert stats.pipe_fallbacks == 0
         assert stats.fallback_data_bytes == 0
         assert stats.total("pipe_bytes") == 0
         assert stats.total("shm_bytes") > 0
-        for round_name in ("dispatch", "gather", "broadcast", "loss", "scatter"):
+        for round_name in ("dispatch", "broadcast", "loss"):
             assert stats.rounds[round_name]["messages"] > 0, round_name
 
-    def test_plain_sharded_plane_moves_no_pipe_data(self, task):
-        trainer, _ = fit_trainer(task)
+    @pytest.mark.parametrize("traced", [False, True], ids=["eager", "traced"])
+    def test_sampled_sharded_plane_moves_no_pipe_data(self, task, traced):
+        # Sampled training: the workers plan around the broadcast pools,
+        # and every round still crosses shared memory only.
+        trainer, _ = fit_trainer(task, traced_steps=traced, sampled_subgraph_training=True)
         stats = trainer._executor.comms_stats
-        assert stats.total("pipe_bytes") == 0
+        assert stats.pipe_fallbacks == 0
         assert stats.fallback_data_bytes == 0
+        assert stats.total("pipe_bytes") == 0
+        assert stats.total("shm_bytes") > 0
+        for round_name in ("dispatch", "broadcast", "loss"):
+            assert stats.rounds[round_name]["messages"] > 0, round_name
 
     def test_run_to_run_bit_reproducible_over_plane(self, task):
-        _, first = fit_trainer(task, pool_sharding=True)
-        _, second = fit_trainer(task, pool_sharding=True)
+        _, first = fit_trainer(task)
+        _, second = fit_trainer(task)
+        assert first.epoch_losses == second.epoch_losses
+        assert first.validation_metrics == second.validation_metrics
+
+    def test_sampled_run_to_run_bit_reproducible_over_plane(self, task):
+        _, first = fit_trainer(task, sampled_subgraph_training=True)
+        _, second = fit_trainer(task, sampled_subgraph_training=True)
         assert first.epoch_losses == second.epoch_losses
         assert first.validation_metrics == second.validation_metrics
 
     def test_executor_teardown_leaves_no_segments(self, task):
         before = set(shm_segments())
-        _, _ = fit_trainer(task, pool_sharding=True)
+        _, _ = fit_trainer(task)
         assert set(shm_segments()) <= before

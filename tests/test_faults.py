@@ -10,6 +10,8 @@ stack's recovery contracts:
 * exhausted retries either raise (fail-fast default) or walk the
   degradation ladder down to fewer shards — and training still completes
   bit-identically;
+* the same drills hold under sampled-subgraph training, where respawned
+  and narrower executors must replay the parent-drawn pools;
 * recovery never leaks worker processes or shared-memory segments, even
   when the training *parent* is killed outright (SIGTERM / SIGINT);
 * a parent killed at a checkpoint boundary resumes bit-identically
@@ -224,41 +226,17 @@ class TestSupervisedRecovery:
         assert_bit_identical(trainer, history, task)
         assert_no_leaks()
 
-    def test_pool_sharded_death_mid_protocol_recovered(self, task):
-        # Kill during the multi-phase pool exchange (the hard case: the
-        # supervisor must replay the partially-delivered step dialogue).
-        faults.configure(faults.parse_spec("worker_exit:shard=1:step=4:phase=match"))
-        trainer = make_trainer(task, pool_sharding=True, worker_max_retries=2)
-        history = trainer.fit()
-        assert history.worker_deaths == 1
-        assert history.worker_respawns == 1
-        assert_bit_identical(trainer, history, task, pool_sharding=True)
-        assert_no_leaks()
-
-    def test_pool_sharded_death_mid_gather_recovered(self, task):
-        # Kill in the encode phase, after the victim may already have
-        # published owned rows into the shared activation table: the
-        # respawned worker must re-attach the exchange regions from the
-        # replayed dispatch headers and re-publish identical bytes.
-        faults.configure(faults.parse_spec("worker_exit:shard=0:step=3:phase=enc"))
-        trainer = make_trainer(task, pool_sharding=True, worker_max_retries=2)
-        history = trainer.fit()
-        assert history.worker_deaths == 1
-        assert history.worker_respawns == 1
-        assert_bit_identical(trainer, history, task, pool_sharding=True)
-        assert_no_leaks()
-
     def test_exchange_overflow_regrow_mid_epoch_bit_identical(self, task):
         # Force-regrow every exchange region mid-epoch (fresh segments,
         # bumped generations): workers re-attach lazily by name and the
         # run must be bit-identical to the unfaulted reference.
         faults.configure(faults.parse_spec("exchange_overflow:step=3"))
-        trainer = make_trainer(task, pool_sharding=True)
+        trainer = make_trainer(task)
         history = trainer.fit()
         executor = trainer._executor
         assert executor.comms_stats.forced_regrows == 1
         assert executor.comms_stats.fallback_data_bytes == 0
-        assert_bit_identical(trainer, history, task, pool_sharding=True)
+        assert_bit_identical(trainer, history, task)
         assert_no_leaks()
 
     def test_exchange_overflow_with_respawn_interleaved(self, task):
@@ -266,12 +244,12 @@ class TestSupervisedRecovery:
         # a worker death at a later step of the same run.
         faults.configure(
             faults.parse_spec("exchange_overflow:step=2"),
-            faults.parse_spec("worker_exit:shard=1:step=5:phase=enc"),
+            faults.parse_spec("worker_exit:shard=1:step=5"),
         )
-        trainer = make_trainer(task, pool_sharding=True, worker_max_retries=2)
+        trainer = make_trainer(task, worker_max_retries=2)
         history = trainer.fit()
         assert history.worker_respawns == 1
-        assert_bit_identical(trainer, history, task, pool_sharding=True)
+        assert_bit_identical(trainer, history, task)
         assert_no_leaks()
 
     def test_fail_fast_default_raises_on_death(self, task):
@@ -288,6 +266,17 @@ class TestSupervisedRecovery:
         trainer = make_trainer(task, worker_max_retries=1)
         with pytest.raises(WorkerDied):
             trainer.fit()
+        assert_no_leaks()
+
+    def test_fail_fast_hang_hits_the_step_deadline(self, task):
+        # A worker stalled inside its step, with no retry budget: the step
+        # deadline fails the fit instead of leaving the parent waiting.
+        faults.configure(faults.parse_spec("worker_hang:shard=1:step=1:delay=30"))
+        trainer = make_trainer(task, worker_step_timeout=2.0)
+        started = time.monotonic()
+        with pytest.raises(WorkerTimeout, match="timed out"):
+            trainer.fit()
+        assert time.monotonic() - started < 25.0
         assert_no_leaks()
 
     def test_worker_died_errors_are_runtime_errors(self):
@@ -315,16 +304,6 @@ class TestDegradation:
         assert_bit_identical(trainer, history, task, n_shards=1)
         assert_no_leaks()
 
-    def test_pool_sharded_degrade_completes_bit_identical(self, task):
-        faults.configure(faults.parse_spec("worker_exit:shard=1:refire:count=100"))
-        trainer = make_trainer(
-            task, pool_sharding=True, worker_max_retries=1, degrade_on_failure=True
-        )
-        history = trainer.fit()
-        assert history.executor_degradations >= 1
-        assert_bit_identical(trainer, history, task, pool_sharding=True, n_shards=1)
-        assert_no_leaks()
-
     def test_degradation_ladder_reaches_serial_fallback(self, task):
         # Every shard keeps dying: n=2 -> n=1 -> in-parent serial. The run
         # must still finish with the exact serial-replica numbers.
@@ -333,6 +312,77 @@ class TestDegradation:
         history = trainer.fit()
         assert history.executor_degradations >= 2
         assert_bit_identical(trainer, history, task, n_shards=1)
+        assert_no_leaks()
+
+
+# ----------------------------------------------------------------------
+# the same drills on the sampled (pool-replay) path
+# ----------------------------------------------------------------------
+class TestSampledRecovery:
+    """Sampled-subgraph training under faults.
+
+    Here every worker builds its step plan around the pools the parent drew
+    and broadcast; a respawned worker, a regrown broadcast region and a
+    narrower executor must all replay exactly those pools.
+    """
+
+    SAMPLED = {"sampled_subgraph_training": True}
+
+    def test_worker_death_respawned_bit_identical(self, task):
+        faults.configure(faults.parse_spec("worker_exit:shard=0:step=4"))
+        trainer = make_trainer(task, worker_max_retries=2, **self.SAMPLED)
+        history = trainer.fit()
+        assert history.worker_deaths == 1
+        assert history.worker_respawns == 1
+        assert_bit_identical(trainer, history, task, **self.SAMPLED)
+        assert_no_leaks()
+
+    def test_worker_hang_respawned_bit_identical(self, task):
+        faults.configure(faults.parse_spec("worker_hang:shard=1:step=3:delay=30"))
+        trainer = make_trainer(task, worker_max_retries=2, worker_step_timeout=2.0, **self.SAMPLED)
+        history = trainer.fit()
+        assert history.worker_timeouts == 1
+        assert history.worker_respawns == 1
+        assert_bit_identical(trainer, history, task, **self.SAMPLED)
+        assert_no_leaks()
+
+    def test_exchange_overflow_regrow_mid_epoch_bit_identical(self, task):
+        faults.configure(faults.parse_spec("exchange_overflow:step=3"))
+        trainer = make_trainer(task, **self.SAMPLED)
+        history = trainer.fit()
+        executor = trainer._executor
+        assert executor.comms_stats.forced_regrows == 1
+        assert executor.comms_stats.fallback_data_bytes == 0
+        assert_bit_identical(trainer, history, task, **self.SAMPLED)
+        assert_no_leaks()
+
+    def test_exchange_overflow_with_respawn_interleaved(self, task):
+        faults.configure(
+            faults.parse_spec("exchange_overflow:step=2"),
+            faults.parse_spec("worker_exit:shard=0:step=5"),
+        )
+        trainer = make_trainer(task, worker_max_retries=2, **self.SAMPLED)
+        history = trainer.fit()
+        assert history.worker_respawns == 1
+        assert_bit_identical(trainer, history, task, **self.SAMPLED)
+        assert_no_leaks()
+
+    def test_degrade_completes_bit_identical(self, task):
+        faults.configure(faults.parse_spec("worker_exit:shard=1:refire:count=100"))
+        trainer = make_trainer(task, worker_max_retries=1, degrade_on_failure=True, **self.SAMPLED)
+        history = trainer.fit()
+        assert history.executor_degradations >= 1
+        assert_bit_identical(trainer, history, task, n_shards=1, **self.SAMPLED)
+        assert_no_leaks()
+
+    def test_degradation_ladder_reaches_serial_fallback(self, task):
+        faults.configure(faults.parse_spec("worker_exit:refire:count=1000"))
+        trainer = make_trainer(task, worker_max_retries=0, degrade_on_failure=True, **self.SAMPLED)
+        history = trainer.fit()
+        assert history.executor_degradations >= 2
+        # The in-parent fallback runs the serial sampled step, which the
+        # one-shard replica reproduces bit for bit.
+        assert_bit_identical(trainer, history, task, n_shards=1, **self.SAMPLED)
         assert_no_leaks()
 
 
@@ -360,9 +410,28 @@ class TestTraceStatsAcrossRespawn:
         assert_bit_identical(faulted, history, task, traced_steps=True)
         assert_no_leaks()
 
+    def test_sampled_stats_merge_counts_both_incarnations(self, task):
+        # Under sampled training the program cache is keyed by plan
+        # structure too; a respawned worker still re-records and merges.
+        sampled = dict(traced_steps=True, sampled_subgraph_training=True)
+        clean = make_trainer(task, **sampled)
+        clean.fit()
+        clean_stats = clean._executor.trace_stats
+        assert clean_stats is not None and clean_stats["sections"] > 0
+
+        faults.configure(faults.parse_spec("worker_exit:shard=0:step=4"))
+        faulted = make_trainer(task, worker_max_retries=2, **sampled)
+        history = faulted.fit()
+        assert history.worker_respawns == 1
+        stats = faulted._executor.trace_stats
+        assert stats["sections"] >= clean_stats["sections"]
+        assert stats["misses"] > clean_stats["misses"]
+        assert_bit_identical(faulted, history, task, **sampled)
+        assert_no_leaks()
+
 
 # ----------------------------------------------------------------------
-# a data loader failing under the sharded executors
+# a data loader failing under the sharded executor
 # ----------------------------------------------------------------------
 class ExplodingLoader:
     """Loader whose iteration fails after ``explode_at`` batches."""
@@ -390,18 +459,27 @@ class StepCounter(Callback):
 
 
 class TestLoaderCrash:
-    @pytest.mark.parametrize("pool_sharding", [False, True])
-    def test_loader_crash_fails_fit_and_leaks_nothing(self, task, pool_sharding):
+    def test_loader_crash_fails_fit_and_leaks_nothing(self, task):
         # The batch stream fails on the training thread after the workers
         # have run steps: fit() raises the loader's own error, and closing
         # the executor on the way out reaps every worker and segment.
-        trainer = make_trainer(task, pool_sharding=pool_sharding)
+        trainer = make_trainer(task)
         counter = StepCounter()
         trainer._callbacks.append(counter)
         trainer._loaders["a"] = ExplodingLoader(trainer._loaders["a"], explode_at=2)
         with pytest.raises(IndexError, match="injected loader failure"):
             trainer.fit()
         assert counter.steps == 2
+        assert_no_leaks()
+
+    def test_sampled_loader_crash_fails_fit_and_leaks_nothing(self, task):
+        trainer = make_trainer(task, sampled_subgraph_training=True)
+        counter = StepCounter()
+        trainer._callbacks.append(counter)
+        trainer._loaders["b"] = ExplodingLoader(trainer._loaders["b"], explode_at=3)
+        with pytest.raises(IndexError, match="injected loader failure"):
+            trainer.fit()
+        assert counter.steps == 3
         assert_no_leaks()
 
 
@@ -474,65 +552,87 @@ def wait_for_started(child, deadline=120.0):
     )
 
 
+def assert_killed_child_leaks_nothing(tmp_path, signum, extra):
+    child = spawn_child(tmp_path, num_epochs=200, extra_config=extra)
+    try:
+        wait_for_started(child)
+        time.sleep(1.5)  # let the shard workers fork and run some steps
+        child.send_signal(signum)
+        child.wait(timeout=60)
+    finally:
+        if child.poll() is None:  # pragma: no cover — emergency cleanup
+            child.kill()
+            child.wait()
+    # Every shared-memory segment the child created — parameter blocks
+    # and exchange-plane regions alike — is named with its pid; the
+    # resource tracker may lag a moment behind the kill.
+    prefixes = (f"repro-shm-{child.pid}-", f"repro-xp-{child.pid}-")
+    end = time.monotonic() + 10.0
+    while time.monotonic() < end and leaked_shm(prefixes):
+        time.sleep(0.1)
+    assert not leaked_shm(prefixes), f"child leaked shm segments: {leaked_shm(prefixes)}"
+
+
 class TestParentKill:
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
-    @pytest.mark.parametrize("pool_sharding", [False, True])
-    def test_killed_parent_leaks_nothing(self, task, tmp_path, signum, pool_sharding):
-        extra = 'executor="sharded", n_shards=2,'
-        if pool_sharding:
-            extra += " pool_sharding=True,"
-        child = spawn_child(tmp_path, num_epochs=200, extra_config=extra)
-        try:
-            wait_for_started(child)
-            time.sleep(1.5)  # let the shard workers fork and run some steps
-            child.send_signal(signum)
-            child.wait(timeout=60)
-        finally:
-            if child.poll() is None:  # pragma: no cover — emergency cleanup
-                child.kill()
-                child.wait()
-        # Every shared-memory segment the child created — parameter blocks
-        # and exchange-plane regions alike — is named with its pid; the
-        # resource tracker may lag a moment behind the kill.
-        prefixes = (f"repro-shm-{child.pid}-", f"repro-xp-{child.pid}-")
-        end = time.monotonic() + 10.0
-        while time.monotonic() < end and leaked_shm(prefixes):
-            time.sleep(0.1)
-        assert not leaked_shm(prefixes), (
-            f"child leaked shm segments: {leaked_shm(prefixes)}"
+    def test_killed_parent_leaks_nothing(self, task, tmp_path, signum):
+        assert_killed_child_leaks_nothing(tmp_path, signum, 'executor="sharded", n_shards=2,')
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+    def test_killed_sampled_parent_leaks_nothing(self, task, tmp_path, signum):
+        assert_killed_child_leaks_nothing(
+            tmp_path,
+            signum,
+            'executor="sharded", n_shards=2, sampled_subgraph_training=True,',
         )
 
     def test_parent_exit_fault_then_resume_bit_identical(self, task, tmp_path):
         """The full kill-and-resume drill, driven by the env grammar."""
-        ckpt_dir = tmp_path / "ckpts"
-        extra = f'checkpoint_dir=r"{ckpt_dir}", checkpoint_every=1,'
-        killed = spawn_child(
+        assert_parent_exit_then_resume_bit_identical(task, tmp_path, "", executor="serial")
+
+    def test_sharded_sampled_parent_exit_then_resume_bit_identical(self, task, tmp_path):
+        # The resumed parent re-forks its workers and broadcasts the pools
+        # its restored sampler draws from the checkpoint on.
+        assert_parent_exit_then_resume_bit_identical(
+            task,
             tmp_path,
-            num_epochs=2,
-            extra_config=extra,
-            env_extra={"REPRO_FAULTS": "parent_exit:epoch=0"},
+            'executor="sharded", n_shards=2, sampled_subgraph_training=True,',
+            sampled_subgraph_training=True,
         )
-        out, err = killed.communicate(timeout=240)
-        assert killed.returncode == faults.FAULT_EXIT_CODE, (out, err)
-        assert "TRAINING-FINISHED" not in out
-        path = latest_checkpoint(ckpt_dir)
-        assert path is not None, "no checkpoint survived the kill"
 
-        resumed = spawn_child(
-            tmp_path,
-            num_epochs=2,
-            extra_config=extra,
-            fit_args=f'resume_from=r"{ckpt_dir}"',
-        )
-        out, err = resumed.communicate(timeout=240)
-        assert resumed.returncode == 0, (out, err)
-        assert "TRAINING-FINISHED 2" in out
 
-        # The resumed child's final state matches an uninterrupted run.
-        history_ref, params_ref = reference_run(task, executor="serial", num_epochs=2)
-        from repro.core.checkpoint import load_checkpoint
+def assert_parent_exit_then_resume_bit_identical(
+    task, tmp_path, executor_config, **reference_overrides
+):
+    ckpt_dir = tmp_path / "ckpts"
+    extra = f'{executor_config} checkpoint_dir=r"{ckpt_dir}", checkpoint_every=1,'
+    killed = spawn_child(
+        tmp_path,
+        num_epochs=2,
+        extra_config=extra,
+        env_extra={"REPRO_FAULTS": "parent_exit:epoch=0"},
+    )
+    out, err = killed.communicate(timeout=240)
+    assert killed.returncode == faults.FAULT_EXIT_CODE, (out, err)
+    assert "TRAINING-FINISHED" not in out
+    path = latest_checkpoint(ckpt_dir)
+    assert path is not None, "no checkpoint survived the kill"
 
-        final = load_checkpoint(latest_checkpoint(ckpt_dir))
-        assert final.meta["history"]["epoch_losses"] == history_ref.epoch_losses
-        for name, value in params_ref.items():
-            assert np.array_equal(final.parameters[name], value), name
+    resumed = spawn_child(
+        tmp_path,
+        num_epochs=2,
+        extra_config=extra,
+        fit_args=f'resume_from=r"{ckpt_dir}"',
+    )
+    out, err = resumed.communicate(timeout=240)
+    assert resumed.returncode == 0, (out, err)
+    assert "TRAINING-FINISHED 2" in out
+
+    # The resumed child's final state matches an uninterrupted run.
+    history_ref, params_ref = reference_run(task, num_epochs=2, **reference_overrides)
+    from repro.core.checkpoint import load_checkpoint
+
+    final = load_checkpoint(latest_checkpoint(ckpt_dir))
+    assert final.meta["history"]["epoch_losses"] == history_ref.epoch_losses
+    for name, value in params_ref.items():
+        assert np.array_equal(final.parameters[name], value), name

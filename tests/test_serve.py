@@ -95,7 +95,6 @@ class TestCapabilityProtocol:
             encode_match_split=True,
             sharding=True,
             matching_pools=True,
-            pool_exchange=True,
             subgraph_sampling=True,
         )
 
@@ -121,7 +120,6 @@ class TestCapabilityProtocol:
             "encode_representations",
             "match_representations",
             "sample_step_pools",
-            "plan_pool_exchange",
             "configure_subgraph_sampling",
             "on_epoch_start",
             "score_pairs",

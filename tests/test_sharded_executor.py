@@ -9,9 +9,15 @@ The headline guarantees gated here:
   metrics stay bit-identical while epoch losses are gated at float64 ulp
   level (per-shard backward passes necessarily re-associate the gradient
   sum — see the README "Distributed training" determinism notes).
+* **The sampled (pool-replay) path** — under sampled-subgraph training the
+  one-shard replica is bit-identical to the serial sampled stream under
+  every planner configuration (fanout included), more shards match it at
+  float64 ulp level, every shard's plan holds the step's whole pool
+  closure, and the parent's sampler rng ends where the serial one does.
 * **Partitioning edge cases** — shards larger than the user population,
   overlap pairs landing on different shards, empty per-shard micro-batches
-  and single-domain steps all split and train correctly.
+  and single-domain steps all split and train correctly, full-graph and
+  sampled.
 * **Process hygiene** — no worker process survives ``fit`` (normal return,
   mid-epoch crash or killed worker), ``run_step`` raises instead of hanging
   on a dead worker, and ``close`` is idempotent.
@@ -32,6 +38,7 @@ from repro.core import (
     TrainerConfig,
     build_task,
 )
+from repro.core.subgraph_plan import build_subgraph_plan_from_pools
 from repro.data import load_scenario
 from repro.data.dataloader import Batch, InteractionDataLoader
 from repro.data.shard import (
@@ -57,13 +64,13 @@ def task():
     return build_task(load_scenario("cloth_sport", scale=0.3, seed=13), head_threshold=7)
 
 
-def build_for(name, task, seed=3):
+def build_for(name, task, seed=3, **model_overrides):
     if name == "NMCDR":
-        return NMCDR(task, NMCDRConfig(embedding_dim=16, seed=seed))
+        return NMCDR(task, NMCDRConfig(embedding_dim=16, seed=seed, **model_overrides))
     return build_model(name, task, embedding_dim=16, seed=seed)
 
 
-def fit_history(task, model_name, **config_overrides):
+def fit_history(task, model_name, model_overrides=None, **config_overrides):
     config = TrainerConfig(
         num_epochs=2,
         batch_size=128,
@@ -72,8 +79,38 @@ def fit_history(task, model_name, **config_overrides):
         num_eval_negatives=20,
         **config_overrides,
     )
-    trainer = CDRTrainer(build_for(model_name, task), task, config)
+    model = build_for(model_name, task, **(model_overrides or {}))
+    trainer = CDRTrainer(model, task, config)
     return trainer.fit()
+
+
+# Model configurations the sampled (pool-replay) path is gated under: random
+# and deterministic (``None``) pools, a second matching layer, the GCN kernel
+# (one more exactness hop) and each matching direction switched off.  All of
+# them keep sampled training exact (default hops, no fanout).
+EXACT_PLAN_CONFIGS = {
+    "random-pools": {},
+    "deterministic-pools": {"max_matching_neighbors": None},
+    "two-matching-layers": {"num_matching_layers": 2},
+    "gcn": {"gnn_kernel": "gcn"},
+    "no-inter-matching": {"use_inter_matching": False},
+    "no-intra-matching": {"use_intra_matching": False},
+}
+
+# Planner configurations of the serial PlanSchedule (incremental, with a
+# delta path under deterministic pools) that the single-shard replica must
+# reproduce with its from-scratch plans; the fanout cases are not exact,
+# so only the one-shard replica can promise their stream.
+PLANNER_CONFIGS = {
+    "random-pools": ({}, {}),
+    "deterministic-pools": ({"max_matching_neighbors": None}, {}),
+    "two-matching-layers": ({"num_matching_layers": 2}, {}),
+    "fanout": ({}, {"subgraph_num_hops": 1, "subgraph_fanout": 4}),
+    "deterministic-pools-fanout": (
+        {"max_matching_neighbors": None},
+        {"subgraph_num_hops": 1, "subgraph_fanout": 4},
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -220,16 +257,106 @@ class TestShardedEquivalence:
         assert first.epoch_losses == second.epoch_losses
         assert first.validation_metrics == second.validation_metrics
 
+    def test_tiny_pools_with_many_shards_match_serial_at_ulp_level(self, task):
+        """More shards than pool users: every shard folds the same one-user
+        pools into its subgraph, most of them around a handful of rows."""
+        tiny = {"max_matching_neighbors": 1}
+        serial = fit_history(task, "NMCDR", tiny)
+        sharded = fit_history(task, "NMCDR", tiny, executor="sharded", n_shards=8)
+        assert serial.validation_metrics == sharded.validation_metrics
+        np.testing.assert_allclose(serial.epoch_losses, sharded.epoch_losses, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.slow
+class TestSampledShardedEquivalence:
+    """The pool-replay path under sampled-subgraph training.
+
+    The parent draws each step's matching pools and broadcasts them; every
+    worker builds its shard's plan from scratch around them, while the
+    serial side plans through the incremental PlanSchedule.
+    """
+
+    @pytest.mark.parametrize(
+        "model_overrides,sampling",
+        list(PLANNER_CONFIGS.values()),
+        ids=list(PLANNER_CONFIGS),
+    )
+    def test_single_shard_replica_is_bit_identical_to_the_sampled_serial_stream(
+        self, task, model_overrides, sampling
+    ):
+        serial = fit_history(
+            task, "NMCDR", model_overrides, sampled_subgraph_training=True, **sampling
+        )
+        sharded = fit_history(
+            task,
+            "NMCDR",
+            model_overrides,
+            executor="sharded",
+            n_shards=1,
+            sampled_subgraph_training=True,
+            **sampling,
+        )
+        assert serial.epoch_losses == sharded.epoch_losses
+        assert serial.validation_metrics == sharded.validation_metrics
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    @pytest.mark.parametrize(
+        "model_overrides",
+        list(EXACT_PLAN_CONFIGS.values()),
+        ids=list(EXACT_PLAN_CONFIGS),
+    )
+    def test_shards_match_the_sampled_serial_stream_at_ulp_level(
+        self, task, model_overrides, n_shards
+    ):
+        serial = fit_history(task, "NMCDR", model_overrides, sampled_subgraph_training=True)
+        sharded = fit_history(
+            task,
+            "NMCDR",
+            model_overrides,
+            executor="sharded",
+            n_shards=n_shards,
+            sampled_subgraph_training=True,
+        )
+        assert serial.validation_metrics == sharded.validation_metrics
+        np.testing.assert_allclose(serial.epoch_losses, sharded.epoch_losses, rtol=1e-11, atol=0.0)
+
+    def test_tiny_pools_with_many_shards_match_the_sampled_serial_stream(self, task):
+        tiny = {"max_matching_neighbors": 1}
+        serial = fit_history(task, "NMCDR", tiny, sampled_subgraph_training=True)
+        sharded = fit_history(
+            task,
+            "NMCDR",
+            tiny,
+            executor="sharded",
+            n_shards=8,
+            sampled_subgraph_training=True,
+        )
+        assert serial.validation_metrics == sharded.validation_metrics
+        np.testing.assert_allclose(serial.epoch_losses, sharded.epoch_losses, rtol=1e-11, atol=0.0)
+
+    def test_sampled_sharded_runs_are_reproducible(self, task):
+        settings = dict(executor="sharded", n_shards=3, sampled_subgraph_training=True)
+        first = fit_history(task, "NMCDR", **settings)
+        second = fit_history(task, "NMCDR", **settings)
+        assert first.epoch_losses == second.epoch_losses
+        assert first.validation_metrics == second.validation_metrics
+
 
 # ----------------------------------------------------------------------
 # partitioning edge cases through the real executor
 # ----------------------------------------------------------------------
 class TestShardedStepEdgeCases:
-    def serial_and_sharded_executors(self, task, n_shards):
-        """Two models with identical weights, one serial and one sharded."""
+    def serial_and_sharded_executors(self, task, n_shards, sampled=False, **overrides):
+        """Two models with identical weights, one serial and one sharded.
+
+        With ``sampled`` both models train on sampled subgraphs, so the
+        workers build their plans around the parent-drawn pools.
+        """
         executors = []
         for kind in ("serial", "sharded"):
-            model = NMCDR(task, NMCDRConfig(embedding_dim=16, seed=3))
+            model = NMCDR(task, NMCDRConfig(embedding_dim=16, seed=3, **overrides))
+            if sampled:
+                model.configure_subgraph_sampling(True)
             optimizer = Adam(model.parameters(), lr=1e-3)
             if kind == "serial":
                 executors.append(StepExecutor(model, optimizer, grad_clip_norm=5.0))
@@ -310,6 +437,161 @@ class TestShardedStepEdgeCases:
         finally:
             sharded.close()
 
+    def assert_grads_match(self, serial, sharded):
+        serial_none = [p.grad is None for p in serial.optimizer.parameters]
+        sharded_none = [p.grad is None for p in sharded.optimizer.parameters]
+        assert serial_none == sharded_none
+        for serial_p, sharded_p in zip(serial.optimizer.parameters, sharded.optimizer.parameters):
+            if serial_p.grad is not None:
+                np.testing.assert_allclose(serial_p.grad, sharded_p.grad, rtol=1e-9, atol=1e-12)
+
+    def test_two_domain_step_with_one_idle_shard_matches_serial(self, task):
+        """Both domains restricted to one shard's users: the other shard
+        gets an empty micro-batch in every domain and contributes nothing."""
+        serial, sharded = self.serial_and_sharded_executors(task, n_shards=2)
+        try:
+            batches = {key: self.one_batch(task, key, batch_size=32) for key in ("a", "b")}
+            shard = shard_assignments(batches["a"].users[:1], 2, salt=domain_shard_salt("a"))[0]
+            one_sided = {}
+            for key, batch in batches.items():
+                rows = np.flatnonzero(
+                    shard_assignments(batch.users, 2, salt=domain_shard_salt(key))
+                    == shard
+                )
+                one_sided[key] = Batch(
+                    users=batch.users[rows],
+                    items=batch.items[rows],
+                    labels=batch.labels[rows],
+                )
+            assert all(len(batch) > 0 for batch in one_sided.values())
+            serial_loss = serial.run_step(one_sided)
+            sharded_loss = sharded.run_step(one_sided)
+            assert sharded_loss == pytest.approx(serial_loss, rel=1e-12)
+            self.assert_grads_match(serial, sharded)
+        finally:
+            sharded.close()
+
+    def test_sampled_more_shards_than_batch_users_matches_serial(self, task):
+        serial, sharded = self.serial_and_sharded_executors(task, n_shards=4, sampled=True)
+        try:
+            batches = {
+                "a": self.one_batch(task, "a", batch_size=6),
+                "b": self.one_batch(task, "b", batch_size=6),
+            }
+            serial_loss = serial.run_step(batches)
+            sharded_loss = sharded.run_step(batches)
+            assert sharded_loss == pytest.approx(serial_loss, rel=1e-12)
+            self.assert_grads_match(serial, sharded)
+        finally:
+            sharded.close()
+
+    def test_sampled_single_domain_step_preserves_grad_sparsity(self, task):
+        serial, sharded = self.serial_and_sharded_executors(task, n_shards=2, sampled=True)
+        try:
+            batches = {"a": self.one_batch(task, "a")}
+            serial_loss = serial.run_step(batches)
+            sharded_loss = sharded.run_step(batches)
+            assert sharded_loss == pytest.approx(serial_loss, rel=1e-12)
+            assert any(p.grad is None for p in serial.optimizer.parameters)
+            self.assert_grads_match(serial, sharded)
+        finally:
+            sharded.close()
+
+    def test_sampled_step_with_empty_micro_batch_matches_serial(self, task):
+        serial, sharded = self.serial_and_sharded_executors(task, n_shards=2, sampled=True)
+        try:
+            batch = self.one_batch(task, "a", batch_size=32)
+            assignments = shard_assignments(batch.users, 2, salt=domain_shard_salt("a"))
+            rows = np.flatnonzero(assignments == assignments[0])
+            one_shard = Batch(
+                users=batch.users[rows],
+                items=batch.items[rows],
+                labels=batch.labels[rows],
+            )
+            serial_loss = serial.run_step({"a": one_shard})
+            sharded_loss = sharded.run_step({"a": one_shard})
+            assert sharded_loss == pytest.approx(serial_loss, rel=1e-12)
+            self.assert_grads_match(serial, sharded)
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["full-graph", "sampled"])
+    def test_parent_sampler_stream_matches_serial(self, task, sampled):
+        """Pools are drawn once per step in the parent, in the serial
+        forward's order, so the parent's sampler rng ends where the serial
+        executor's does (mid-training evaluation depends on it)."""
+        # Pools capped below the candidate counts, so every draw consumes rng.
+        serial, sharded = self.serial_and_sharded_executors(
+            task, n_shards=2, sampled=sampled, max_matching_neighbors=4
+        )
+        try:
+            start = serial.model._sampler._rng.bit_generator.state
+            for seed in (5, 6, 7):
+                batches = {key: self.one_batch(task, key, seed=seed) for key in ("a", "b")}
+                serial.run_step(batches)
+                sharded.run_step(batches)
+            serial_state = serial.model._sampler._rng.bit_generator.state
+            sharded_state = sharded.model._sampler._rng.bit_generator.state
+            assert serial_state != start
+            assert serial_state == sharded_state
+        finally:
+            sharded.close()
+
+
+# ----------------------------------------------------------------------
+# what each worker plans under sampled training
+# ----------------------------------------------------------------------
+class TestShardPlans:
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_every_shard_plan_holds_the_whole_pool_closure(self, task, n_shards):
+        """No activations cross shards: each worker's plan, built around its
+        micro-batch and the broadcast pools, resolves every pool user and
+        every kept overlap pair inside its own subgraphs."""
+        model = NMCDR(task, NMCDRConfig(embedding_dim=16, seed=3))
+        model.configure_subgraph_sampling(True)
+        intra, inter = model.sample_step_pools()
+        batches = {}
+        for index, key in enumerate(("a", "b")):
+            loader = InteractionDataLoader(
+                task.domain(key).split,
+                batch_size=64,
+                rng=np.random.default_rng(5 + index),
+            )
+            batches[key] = next(iter(loader))
+        split = split_joint_batch(batches, n_shards)
+        overlap = {tuple(pair) for pair in task.overlap_pairs.tolist()}
+        for shard in range(n_shards):
+            micro = split.micro_batches[shard]
+            plan = build_subgraph_plan_from_pools(
+                task,
+                model.config,
+                micro,
+                intra,
+                inter,
+                model._subgraph_settings,
+                model._subgraph_caches,
+            )
+            for key in ("a", "b"):
+                domain = plan.domain(key)
+                other = plan.domain(task.other_key(key))
+                assert domain.active and other.active
+                users = domain.subgraph.user_ids
+                other_users = other.subgraph.user_ids
+                assert len(domain.intra_pools) == len(intra[key]) > 0
+                assert len(domain.inter_pools) == len(inter[key]) > 0
+                for (head, tail), (local_head, local_tail) in zip(intra[key], domain.intra_pools):
+                    np.testing.assert_array_equal(users[local_head], head)
+                    np.testing.assert_array_equal(users[local_tail], tail)
+                for pool, local_pool in zip(inter[key], domain.inter_pools):
+                    np.testing.assert_array_equal(other_users[local_pool], pool)
+                if key in micro:
+                    np.testing.assert_array_equal(users[domain.batch_users], micro[key].users)
+                own = users[domain.overlap_own]
+                partner = other_users[domain.overlap_other]
+                assert own.size > 0
+                pairs = zip(own, partner) if key == "a" else zip(partner, own)
+                assert all(pair in overlap for pair in pairs)
+
 
 # ----------------------------------------------------------------------
 # lifecycle, wiring and process hygiene
@@ -366,6 +648,20 @@ class TestShardedLifecycle:
 
     def test_worker_error_propagates_with_traceback(self, task):
         trainer = self.make_trainer(task)
+        executor = trainer._executor
+        bad = Batch(
+            users=np.array([10**9], dtype=np.int64),
+            items=np.array([0], dtype=np.int64),
+            labels=np.array([1.0]),
+        )
+        with pytest.raises(RuntimeError, match="worker traceback"):
+            executor.run_step({"a": bad})
+        assert shard_children() == []
+
+    def test_worker_error_in_sampled_plan_propagates_with_traceback(self, task):
+        # Under sampled training the worker builds its plan around the
+        # broadcast pools first; a failure there must surface the same way.
+        trainer = self.make_trainer(task, sampled_subgraph_training=True)
         executor = trainer._executor
         bad = Batch(
             users=np.array([10**9], dtype=np.int64),
