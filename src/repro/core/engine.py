@@ -23,7 +23,8 @@ Timing is recorded per stage so benchmarks stop under-reporting wall cost:
 ``step_seconds_total`` is the pure optimisation time (the historical
 ``train_seconds_per_batch`` numerator) and ``data_prep_seconds_total`` is
 the batch materialisation cost the loop stood still for.  Both, like
-``fit_wall_seconds``, carry on across a checkpoint resume.
+``fit_wall_seconds`` and ``num_batches``, carry on across a checkpoint
+resume and across ``fit`` calls that share one history.
 """
 
 from __future__ import annotations
@@ -430,7 +431,10 @@ class TrainingEngine:
                     epoch_loss += loss
                     epoch_steps += 1
                     total_steps += 1
-                    history.num_batches = total_steps
+                    # Like the time totals, the count adds this call's steps
+                    # to what the history holds (a resumed history holds its
+                    # checkpoint's step position).
+                    history.num_batches += 1
                     record_totals()
                     for callback in self.callbacks:
                         callback.on_step_end(context, total_steps, loss)

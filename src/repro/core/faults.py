@@ -110,6 +110,12 @@ FAULT_EXIT_CODE = 23
 ENV_VAR = "REPRO_FAULTS"
 
 _WORKER_POINTS = ("worker_exit", "worker_hang", "worker_slow")
+#: The points whose hooks pass a ``phase``, and the phases each one passes;
+#: a ``phase=`` filter anywhere else could never match.
+_PHASES = {
+    "reload_corrupt": ("file", "table"),
+    "reload_crash": ("publish", "swap"),
+}
 _POINTS = _WORKER_POINTS + (
     "checkpoint_crash",
     "checkpoint_corrupt",
@@ -134,7 +140,7 @@ class FaultSpec:
     step: Optional[int] = None
     #: Restrict a reload point to one phase (``file``/``table`` for
     #: ``reload_corrupt``, ``publish``/``swap`` for ``reload_crash``) —
-    #: ``None`` matches any phase.
+    #: ``None`` matches any phase; every other point rejects a phase.
     phase: Optional[str] = None
     #: Restrict ``parent_exit`` to one epoch boundary.
     epoch: Optional[int] = None
@@ -155,6 +161,12 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.point not in _POINTS:
             raise ValueError(f"unknown fault point '{self.point}'; expected one of {_POINTS}")
+        valid = _PHASES.get(self.point, ())
+        if self.phase is not None and self.phase not in valid:
+            raise ValueError(
+                f"fault point '{self.point}' has no phase '{self.phase}'; "
+                + (f"expected one of {valid}" if valid else "it takes no phase")
+            )
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.delay < 0:

@@ -79,7 +79,9 @@ the shared parameter block exactly like the original fork) and the
 in-flight step is replayed from the parent's retained per-shard dispatch
 log — the parent's rng and dispatch are authoritative, so the respawned
 worker's step result is bit-identical to the never-failed one.  Retries
-back off exponentially and are capped per shard per step; with
+back off exponentially and are capped per shard per step.  A worker whose
+failure exhausts the budget is stopped at once, so neither the re-raise
+nor the degrade path waits on a hung worker's shutdown join; with
 ``degrade_on_failure`` an exhausted budget rebuilds the executor at half
 the shards (down to one, and finally to in-parent serial execution) from
 the last consistent state — parameters only ever advance after a fully
@@ -211,6 +213,16 @@ class _SharedBlock:
         self._finalizer()
 
 
+def _stop_worker(worker) -> None:
+    """Stop one worker now: terminate → join → kill.  Idempotent."""
+    if worker.is_alive():
+        worker.terminate()
+        worker.join(timeout=2.0)
+    if worker.is_alive():  # pragma: no cover — terminate should suffice
+        worker.kill()
+        worker.join(timeout=2.0)
+
+
 def _shutdown_workers(workers, connections) -> None:
     """Stop worker processes; join → terminate → kill.  Idempotent."""
     for connection in connections:
@@ -222,12 +234,7 @@ def _shutdown_workers(workers, connections) -> None:
     for worker in workers:
         worker.join(timeout=max(0.1, deadline - time.monotonic()))
     for worker in workers:
-        if worker.is_alive():
-            worker.terminate()
-            worker.join(timeout=2.0)
-        if worker.is_alive():  # pragma: no cover — terminate should suffice
-            worker.kill()
-            worker.join(timeout=2.0)
+        _stop_worker(worker)
     for connection in connections:
         try:
             connection.close()
@@ -741,6 +748,9 @@ class ShardedStepExecutor(StepExecutor):
         ] += 1
         attempt = self._step_retries[shard_index]
         if attempt >= self.max_retries:
+            # Stop a hung worker here: close() and the degrade path would
+            # otherwise wait out _shutdown_workers' whole join grace on it.
+            _stop_worker(self._workers[shard_index])
             raise error
         self._step_retries[shard_index] = attempt + 1
         if self.retry_backoff:
@@ -749,13 +759,7 @@ class ShardedStepExecutor(StepExecutor):
         # advancing the generation keeps one-shot injected faults from
         # re-firing in the replacement (see repro.core.faults).
         faults.mark_respawn()
-        old_worker = self._workers[shard_index]
-        if old_worker.is_alive():
-            old_worker.terminate()
-            old_worker.join(timeout=2.0)
-            if old_worker.is_alive():  # pragma: no cover — terminate suffices
-                old_worker.kill()
-                old_worker.join(timeout=2.0)
+        _stop_worker(self._workers[shard_index])
         try:
             self._connections[shard_index].close()
         except OSError:  # pragma: no cover — already closed

@@ -24,7 +24,7 @@ historical monolithic loop bit-for-bit under a fixed seed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,9 @@ class CDRTrainer:
             for key in DOMAIN_KEYS
         }
         self._eval_rng_seed = int(rng.integers(0, 2**32 - 1))
+        #: One evaluator per (subset, domain, negatives): each draws its
+        #: ranking candidates once, from the same seed every call would use.
+        self._evaluators: Dict[Tuple[str, str, int], RankingEvaluator] = {}
 
     # ------------------------------------------------------------------
     # training
@@ -180,12 +183,16 @@ class CDRTrainer:
             split = self.task.domain(key).split
             if split.num_eval_users == 0:
                 continue
-            evaluator = RankingEvaluator(
-                split,
-                key,
-                num_negatives=self.config.num_eval_negatives,
-                subset=subset,
-                rng=np.random.default_rng(self._eval_rng_seed),
-            )
+            cache_key = (subset, key, self.config.num_eval_negatives)
+            evaluator = self._evaluators.get(cache_key)
+            if evaluator is None:
+                evaluator = RankingEvaluator(
+                    split,
+                    key,
+                    num_negatives=self.config.num_eval_negatives,
+                    subset=subset,
+                    rng=np.random.default_rng(self._eval_rng_seed),
+                )
+                self._evaluators[cache_key] = evaluator
             results[key] = evaluator.evaluate(self.model)
         return results

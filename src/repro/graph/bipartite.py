@@ -71,6 +71,7 @@ class InteractionGraph:
         self._operator_cache: Dict[Tuple[str, str], sp.spmatrix] = {}
         self._csc: Optional[sp.csc_matrix] = None
         self._item_edge_order: Optional[np.ndarray] = None
+        self._capped_rows: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_csr(
@@ -117,6 +118,7 @@ class InteractionGraph:
         graph._operator_cache = {}
         graph._csc = None
         graph._item_edge_order = None
+        graph._capped_rows = {}
         return graph
 
     # ------------------------------------------------------------------
@@ -170,6 +172,29 @@ class InteractionGraph:
         the k-hop subgraph sampler walks in the item→user direction.
         """
         return self._adjacency_csc()
+
+    def capped_rows(
+        self,
+        fanout: int,
+        side: int,
+        build: Callable[[], Tuple[np.ndarray, np.ndarray]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Build-once memo of a fanout-capped adjacency, keyed by ``(fanout, side)``.
+
+        ``build`` returns the capped CSR ``(indptr, indices)`` of the
+        user-major (``side=0``) or item-major (``side=1``) adjacency; the
+        k-hop sampler (:func:`repro.graph.sampling.sample_khop_nodes`)
+        supplies its per-node reservoir.  Returned arrays are shared and
+        read-only.
+        """
+        key = (int(fanout), int(side))
+        rows = self._capped_rows.get(key)
+        if rows is None:
+            rows = build()
+            for array in rows:
+                array.flags.writeable = False
+            self._capped_rows[key] = rows
+        return rows
 
     # ------------------------------------------------------------------
     # normalised propagation operators (memoised: the graph is immutable)

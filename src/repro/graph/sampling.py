@@ -38,7 +38,9 @@ the seed set), so fanout expansion is deterministic — a cached subgraph and a
 freshly sampled one for the same key are identical by construction — **and**
 distributes over seed unions, which lets the incremental plan schedule delta-
 expand batches under a fanout cap instead of falling back to full per-step
-expansion.
+expansion.  Because the kept subset never changes, it is drawn once per graph
+into a capped adjacency table (:meth:`InteractionGraph.capped_rows`), and
+every capped hop is then the same plain CSR gather as an uncapped one.
 
 :class:`SubgraphCache` memoises :class:`DomainSubgraph` objects keyed by the
 seed sets and sampling settings: repeated batch signatures (common with small
@@ -84,6 +86,26 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     return mixed
 
 
+def _row_positions(
+    indptr: np.ndarray, frontier: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node counts, in-row ranks and flat CSR positions of the frontier rows."""
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    total = int(counts.sum())
+    # Contiguous gather of every CSR slice without a Python loop.
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    return counts, offsets, np.repeat(starts, counts) + offsets
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Every entry of the frontier nodes' CSR rows, in row order."""
+    if frontier.size == 0:
+        return np.empty(0, dtype=np.int64)
+    _, _, flat = _row_positions(indptr, frontier)
+    return indices[flat].astype(np.int64, copy=False)
+
+
 def _gather_neighbors(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -108,14 +130,10 @@ def _gather_neighbors(
     """
     if frontier.size == 0:
         return np.empty(0, dtype=np.int64)
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
+    counts, offsets, flat = _row_positions(indptr, frontier)
+    total = flat.size
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # Contiguous gather of every CSR slice without a Python loop.
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    flat = np.repeat(starts, counts) + offsets
     if fanout is None or not (counts > fanout).any():
         return indices[flat].astype(np.int64)
 
@@ -134,6 +152,30 @@ def _gather_neighbors(
     segment_starts = np.repeat(np.cumsum(counts) - counts, counts)
     ranks = np.arange(total) - segment_starts
     return indices[flat[order[ranks < fanout]]].astype(np.int64)
+
+
+def _capped_adjacency(
+    graph: InteractionGraph, fanout: int, side: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The graph's reservoir-capped adjacency for one side, built once.
+
+    Row ``n`` of the returned CSR ``(indptr, indices)`` holds the neighbours
+    :func:`_gather_neighbors` keeps for node ``n`` under ``fanout``, in no
+    set order (the expansion uniques every hop).  The kept subset is a pure
+    function of the node, so one hash-and-lexsort over every node serves
+    every later hop with a plain CSR gather; the graph memoises the table
+    per ``(fanout, side)``.
+    """
+
+    def build() -> Tuple[np.ndarray, np.ndarray]:
+        full = graph.adjacency() if side == 0 else graph.adjacency_item_major()
+        nodes = np.arange(full.indptr.size - 1, dtype=np.int64)
+        kept = _gather_neighbors(full.indptr, full.indices, nodes, fanout, side)
+        indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(np.minimum(np.diff(full.indptr), fanout), out=indptr[1:])
+        return indptr, kept
+
+    return graph.capped_rows(fanout, side, build)
 
 
 def _signature(
@@ -164,7 +206,8 @@ def sample_khop_nodes(
     One hop expands the user frontier to its items and the item frontier to
     its users simultaneously; ``fanout`` caps how many neighbours a single
     frontier node may contribute per hop via the signature-stable per-node
-    reservoir of :func:`_gather_neighbors`, so the capped expansion is a
+    reservoir of :func:`_gather_neighbors` (read from the graph's capped
+    table, :func:`_capped_adjacency`), so the capped expansion is a
     deterministic, union-decomposable function of the seeds.  Returns sorted
     global ``(user_ids, item_ids)``.  Isolated seed nodes are kept (they
     simply add no neighbours).
@@ -176,8 +219,13 @@ def sample_khop_nodes(
     seed_users = _as_node_ids(seed_users, graph.num_users, "seed user")
     seed_items = _as_node_ids(seed_items, graph.num_items, "seed item")
 
-    csr = graph.adjacency()
-    csc = graph.adjacency_item_major()
+    if fanout is None:
+        csr = graph.adjacency()
+        csc = graph.adjacency_item_major()
+        user_rows, item_rows = (csr.indptr, csr.indices), (csc.indptr, csc.indices)
+    else:
+        user_rows = _capped_adjacency(graph, fanout, side=0)
+        item_rows = _capped_adjacency(graph, fanout, side=1)
     user_mask = np.zeros(graph.num_users, dtype=bool)
     item_mask = np.zeros(graph.num_items, dtype=bool)
     user_mask[seed_users] = True
@@ -185,8 +233,8 @@ def sample_khop_nodes(
     user_frontier, item_frontier = seed_users, seed_items
 
     for _ in range(num_hops):
-        next_items = _gather_neighbors(csr.indptr, csr.indices, user_frontier, fanout, side=0)
-        next_users = _gather_neighbors(csc.indptr, csc.indices, item_frontier, fanout, side=1)
+        next_items = _gather_rows(*user_rows, user_frontier)
+        next_users = _gather_rows(*item_rows, item_frontier)
         next_items = np.unique(next_items[~item_mask[next_items]]) if next_items.size else next_items
         next_users = np.unique(next_users[~user_mask[next_users]]) if next_users.size else next_users
         if next_items.size == 0 and next_users.size == 0:

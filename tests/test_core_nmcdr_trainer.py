@@ -16,6 +16,7 @@ from repro.core import (
     variant_config,
 )
 from repro.data.dataloader import Batch
+from repro.metrics import evaluator as evaluator_module
 
 
 class TestForwardPipeline:
@@ -162,6 +163,30 @@ class TestTrainer:
         assert set(metrics) == {"a", "b"}
         for domain_metrics in metrics.values():
             assert {"hr@10", "ndcg@10", "mrr"} <= set(domain_metrics)
+
+    def test_ranking_candidates_are_drawn_once_per_subset_and_domain(
+        self, tiny_task, tiny_nmcdr_config, monkeypatch
+    ):
+        domain_of = {id(tiny_task.domain(key).split): key for key in ("a", "b")}
+        draws = []
+        build = evaluator_module.build_ranking_candidates
+
+        def counting_build(split, **kwargs):
+            draws.append((kwargs["subset"], domain_of[id(split)]))
+            return build(split, **kwargs)
+
+        monkeypatch.setattr(evaluator_module, "build_ranking_candidates", counting_build)
+        config = TrainerConfig(num_epochs=1, num_eval_negatives=15, seed=4)
+        subsets = ("valid", "test", "valid")
+        # Every evaluation forward draws matching pools from the model's rng,
+        # so the reference evaluates an identical twin model in the same
+        # order, each time through a fresh trainer.
+        trainer = CDRTrainer(NMCDR(tiny_task, tiny_nmcdr_config), tiny_task, config)
+        metrics = [trainer.evaluate(subset) for subset in subsets]
+        assert sorted(draws) == [("test", "a"), ("test", "b"), ("valid", "a"), ("valid", "b")]
+        twin = NMCDR(tiny_task, tiny_nmcdr_config)
+        for subset, result in zip(subsets, metrics):
+            assert result == CDRTrainer(twin, tiny_task, config).evaluate(subset)
 
 
 class TestStability:

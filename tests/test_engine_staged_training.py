@@ -295,6 +295,27 @@ class TestTimingAccounting:
             <= history.fit_wall_seconds * 1.05 + 0.05
         )
 
+    def test_batch_count_adds_up_over_fit_calls(self, tiny_task, tiny_nmcdr_config):
+        # The time totals add up over fit calls sharing one history; the
+        # batch count must too, or the per-batch figures double.
+        trainer = CDRTrainer(
+            NMCDR(tiny_task, tiny_nmcdr_config),
+            tiny_task,
+            TrainerConfig(num_epochs=1, batch_size=256, eval_every=0),
+        )
+        engine = trainer.build_engine()
+        history = engine.fit(DataPipeline(trainer._loaders))
+        first_call = history.num_batches
+        engine.fit(DataPipeline(trainer._loaders), history=history)
+        assert first_call > 0
+        assert history.num_batches == 2 * first_call
+        assert history.train_seconds_per_batch == pytest.approx(
+            history.step_seconds_total / (2 * first_call)
+        )
+        assert history.data_seconds_per_batch == pytest.approx(
+            history.data_prep_seconds_total / (2 * first_call)
+        )
+
     def test_runner_records_data_timing(self):
         from repro.experiments import ExperimentSettings
         from repro.experiments.runner import run_scenario

@@ -41,6 +41,7 @@ from repro.core import (
     build_task,
     faults,
 )
+from repro.core import sharded
 from repro.core.checkpoint import latest_checkpoint
 from repro.core.sharded import WorkerDied, WorkerTimeout
 from repro.data import load_scenario, preprocess_scenario
@@ -145,11 +146,11 @@ def assert_bit_identical(trainer, history, task, **overrides):
 # ----------------------------------------------------------------------
 class TestFaultSpecs:
     def test_parse_full_grammar(self):
-        spec = faults.parse_spec("worker_exit:shard=1:step=2:phase=enc:delay=0.5:count=3:refire")
-        assert spec.point == "worker_exit"
+        spec = faults.parse_spec("reload_crash:shard=1:step=2:phase=swap:delay=0.5:count=3:refire")
+        assert spec.point == "reload_crash"
         assert spec.shard == 1
         assert spec.step == 2
-        assert spec.phase == "enc"
+        assert spec.phase == "swap"
         assert spec.delay == 0.5
         assert spec.count == 3
         assert spec.refire
@@ -157,6 +158,17 @@ class TestFaultSpecs:
     def test_unknown_point_rejected(self):
         with pytest.raises(ValueError, match="unknown fault point"):
             faults.parse_spec("worker_explode")
+
+    def test_phase_rejected_where_it_cannot_fire(self):
+        # Only the reload hooks pass a phase; a filter no hook can match
+        # would arm a spec that never fires.
+        with pytest.raises(ValueError, match="'worker_exit' has no phase 'enc'; it takes no phase"):
+            faults.parse_spec("worker_exit:shard=0:step=0:phase=enc")
+        with pytest.raises(ValueError, match=r"no phase 'publish'; expected one of \('file', 'table'\)"):
+            faults.parse_spec("reload_corrupt:phase=publish")
+        with pytest.raises(ValueError, match=r"no phase 'file'; expected one of \('publish', 'swap'\)"):
+            faults.FaultSpec("reload_crash", phase="file")
+        assert faults.parse_spec("reload_corrupt:phase=table").phase == "table"
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown fault spec field"):
@@ -277,6 +289,26 @@ class TestSupervisedRecovery:
         with pytest.raises(WorkerTimeout, match="timed out"):
             trainer.fit()
         assert time.monotonic() - started < 25.0
+        assert_no_leaks()
+
+    def test_fail_fast_hang_stops_the_worker_before_shutdown(self, task, monkeypatch):
+        # With the budget spent, the executor stops the hung worker itself:
+        # the shutdown that follows must find it dead, not wait out its
+        # join grace on it.
+        alive_at_shutdown = []
+        shutdown = sharded._shutdown_workers
+
+        def spy(workers, connections):
+            alive_at_shutdown.append([worker.is_alive() for worker in workers])
+            shutdown(workers, connections)
+
+        monkeypatch.setattr(sharded, "_shutdown_workers", spy)
+        faults.configure(faults.parse_spec("worker_hang:shard=1:step=1:delay=30"))
+        trainer = make_trainer(task, worker_step_timeout=2.0)
+        with pytest.raises(WorkerTimeout, match="shard worker 1 timed out"):
+            trainer.fit()
+        assert len(alive_at_shutdown) == 1
+        assert alive_at_shutdown[0][1] is False
         assert_no_leaks()
 
     def test_worker_died_errors_are_runtime_errors(self):

@@ -11,6 +11,10 @@ when different batches induce the same subgraph.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypothesis_budget import examples
 
 from repro.baselines import build_model
 from repro.core import (
@@ -27,6 +31,7 @@ from repro.graph import (
     SubgraphCache,
     induced_subgraph,
     sample_khop_nodes,
+    sampling,
 )
 
 
@@ -188,6 +193,107 @@ class TestKhopExtraction:
             sample_khop_nodes(toy_graph(), [99], [], num_hops=1)
         with pytest.raises(ValueError):
             sample_khop_nodes(toy_graph(), [0], [], num_hops=0)
+
+
+def khop_oracle(graph, seed_users, seed_items, num_hops, fanout):
+    """The per-frontier expansion the capped table replaced: every hop draws
+    each frontier node's reservoir afresh with ``_gather_neighbors``."""
+    csr = graph.adjacency()
+    csc = graph.adjacency_item_major()
+    user_frontier = np.unique(np.asarray(seed_users, dtype=np.int64))
+    item_frontier = np.unique(np.asarray(seed_items, dtype=np.int64))
+    user_mask = np.zeros(graph.num_users, dtype=bool)
+    item_mask = np.zeros(graph.num_items, dtype=bool)
+    user_mask[user_frontier] = True
+    item_mask[item_frontier] = True
+    for _ in range(num_hops):
+        next_items = sampling._gather_neighbors(
+            csr.indptr, csr.indices, user_frontier, fanout, side=0
+        )
+        next_users = sampling._gather_neighbors(
+            csc.indptr, csc.indices, item_frontier, fanout, side=1
+        )
+        next_items = np.unique(next_items[~item_mask[next_items]])
+        next_users = np.unique(next_users[~user_mask[next_users]])
+        if next_items.size == 0 and next_users.size == 0:
+            break
+        item_mask[next_items] = True
+        user_mask[next_users] = True
+        user_frontier, item_frontier = next_users, next_items
+    return np.where(user_mask)[0].astype(np.int64), np.where(item_mask)[0].astype(np.int64)
+
+
+@st.composite
+def khop_cases(draw):
+    """Graphs with isolated users and items and degrees on both sides of
+    any cap, built through either constructor; two seed sets (either may
+    be empty); every fanout from 1 to one past the largest degree, or none;
+    1-3 hops."""
+    num_users = draw(st.integers(1, 12))
+    num_items = draw(st.integers(1, 10))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, num_items - 1), max_size=num_items, unique=True),
+            min_size=num_users,
+            max_size=num_users,
+        )
+    )
+    users = np.repeat(np.arange(num_users), [len(row) for row in rows])
+    items = np.array([item for row in rows for item in row], dtype=np.int64)
+    graph = InteractionGraph(num_users, num_items, users, items)
+    if draw(st.booleans()):
+        csr = graph.adjacency()
+        graph = InteractionGraph.from_csr(num_users, num_items, csr.indptr, csr.indices)
+    max_degree = int(max(graph.user_degrees().max(), graph.item_degrees().max()))
+    fanout = draw(st.one_of(st.none(), st.integers(1, max_degree + 1)))
+    seed_sets = [
+        (
+            draw(st.lists(st.integers(0, num_users - 1), max_size=num_users)),
+            draw(st.lists(st.integers(0, num_items - 1), max_size=num_items)),
+        )
+        for _ in range(2)
+    ]
+    return graph, seed_sets, draw(st.integers(1, 3)), fanout
+
+
+class TestCappedRowTable:
+    @settings(max_examples=examples(100), deadline=None)
+    @given(khop_cases())
+    def test_expansion_is_byte_identical_to_the_per_frontier_reservoir(self, case):
+        graph, seed_sets, num_hops, fanout = case
+        # The second seed set expands over the table the first one built.
+        for seed_users, seed_items in seed_sets:
+            actual = sample_khop_nodes(graph, seed_users, seed_items, num_hops, fanout)
+            expected = khop_oracle(graph, seed_users, seed_items, num_hops, fanout)
+            for got, want in zip(actual, expected):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_table_is_built_once_per_graph_fanout_and_side(self, monkeypatch):
+        builds = []
+        gather = sampling._gather_neighbors
+
+        def counting_gather(indptr, indices, frontier, fanout, side):
+            builds.append((fanout, side))
+            return gather(indptr, indices, frontier, fanout, side)
+
+        monkeypatch.setattr(sampling, "_gather_neighbors", counting_gather)
+        graph = toy_graph()
+        sample_khop_nodes(graph, [0, 1], [2], num_hops=2)
+        assert builds == []  # the uncapped path builds no table
+        sample_khop_nodes(graph, [0, 1], [2], num_hops=2, fanout=1)
+        assert builds == [(1, 0), (1, 1)]
+        tables = [sampling._capped_adjacency(graph, 1, side) for side in (0, 1)]
+        sample_khop_nodes(graph, [3, 4], [1], num_hops=3, fanout=1)
+        assert builds == [(1, 0), (1, 1)]
+        for side, table in zip((0, 1), tables):
+            again = sampling._capped_adjacency(graph, 1, side)
+            assert again[0] is table[0] and again[1] is table[1]
+            assert not table[0].flags.writeable and not table[1].flags.writeable
+        sample_khop_nodes(graph, [0], [], num_hops=1, fanout=2)
+        assert builds == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        sample_khop_nodes(toy_graph(), [0], [], num_hops=1, fanout=1)
+        assert builds == [(1, 0), (1, 1), (2, 0), (2, 1), (1, 0), (1, 1)]
 
 
 class TestSubgraphCache:
