@@ -6,8 +6,8 @@ The :class:`Scorer` is the serving front end: it accepts
 prediction head over micro-batches of (user, item) row pairs and returns
 exact top-K slates.  Because the head invocation is the same one
 ``model.score`` runs on its evaluation cache, store-backed scoring is
-bit-identical to full-model rescoring — the exactness canary gated in the
-``serving`` benchmark section.
+bit-identical to full-model rescoring — gated in ``tests/test_serve.py``
+(``TestScorerExactness``).
 
 Two request paths:
 
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -255,16 +255,16 @@ class Scorer:
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
-    def _num_items(self, domain_key: str) -> int:
+    def _domain_sizes(self, domain_key: str) -> Optional[Tuple[int, int]]:
+        """``(num_users, num_items)`` of one domain, from the store or the
+        task; ``None`` for a delegated model that carries no task."""
         if self.store is not None:
-            return self.store.tables[domain_key].num_items
-        task = getattr(self.model, "task", None)
-        if task is None:
-            raise ValueError(
-                "full-catalogue requests need an item count; pass explicit "
-                "candidates for models without a task"
-            )
-        return int(task.domain(domain_key).num_items)
+            domain = self.store.tables[domain_key]
+        elif getattr(self.model, "task", None) is not None:
+            domain = self.model.task.domain(domain_key)
+        else:
+            return None
+        return int(domain.num_users), int(domain.num_items)
 
     def _ladder_rung(self, current_version: Optional[int]) -> str:
         """Resolve this batch's degradation rung, or raise past the ladder.
@@ -401,7 +401,7 @@ class Scorer:
             try:
                 batch = batches.setdefault(request.domain, _DomainBatch())
                 candidates = self._candidates(request)
-            except Exception as error:  # bad domain / missing item count
+            except Exception as error:  # bad domain, out-of-range id, no item count
                 fail(position, error)
                 continue
             batch.positions.append(position)
@@ -460,11 +460,41 @@ class Scorer:
 
     # -- shared helpers -------------------------------------------------
     def _candidates(self, request: ScoreRequest) -> np.ndarray:
+        """The request's item ids, once its user and items are known in range.
+
+        Both scoring paths call this per request before any grouping, so an
+        out-of-range id answers ``bad_request`` for that request alone: a
+        negative id would otherwise index from the end of the store's tables,
+        and one past the end would fail the whole domain batch.
+        """
         if request.domain not in DOMAIN_KEYS:
             raise KeyError(f"unknown domain {request.domain!r}")
+        sizes = self._domain_sizes(request.domain)
+        if sizes is None:
+            # Nothing to check the ids against, and no catalogue to rank.
+            if request.candidates is None:
+                raise ValueError(
+                    "full-catalogue requests need an item count; pass explicit "
+                    "candidates for models without a task"
+                )
+            return np.asarray(request.candidates, dtype=np.int64)
+        num_users, num_items = sizes
+        if not 0 <= request.user < num_users:
+            raise ValueError(
+                f"user {request.user} is out of range for domain "
+                f"{request.domain!r}, which has users [0, {num_users})"
+            )
         if request.candidates is None:
-            return np.arange(self._num_items(request.domain), dtype=np.int64)
-        return np.asarray(request.candidates, dtype=np.int64)
+            return np.arange(num_items, dtype=np.int64)
+        candidates = np.asarray(request.candidates, dtype=np.int64)
+        if candidates.size and not (
+            candidates.min() >= 0 and candidates.max() < num_items
+        ):
+            raise ValueError(
+                "candidate items are out of range for domain "
+                f"{request.domain!r}, which has items [0, {num_items})"
+            )
+        return candidates
 
     def _build_response(
         self, domain_key, user, candidates, scores, k, rung

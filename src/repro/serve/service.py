@@ -257,7 +257,7 @@ class ServeSession:
         candidates = (
             request.candidates
             if request.candidates is not None
-            else np.arange(self.scorer._num_items(request.domain), dtype=np.int64)
+            else np.arange(self.scorer._domain_sizes(request.domain)[1], dtype=np.int64)
         )
         self._prepare_reference()
         scores = self.model.score(

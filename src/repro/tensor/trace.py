@@ -28,8 +28,8 @@ per backward.  This module removes that constant factor.
 
 Kernels recompute the forward exactly as the eager op does (same expressions,
 same dtype coercions, same clip/mask recipes), so replayed training is
-bit-identical to eager execution — this is asserted for float64 in the
-``traced`` test suite and the efficiency bench's bit-exactness canary.
+bit-identical to eager execution — this is asserted in float64 and float32
+by the ``traced`` test suite.
 """
 
 from __future__ import annotations

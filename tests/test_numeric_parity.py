@@ -105,8 +105,9 @@ def test_float32_mode_runs_and_stays_close():
 def test_float32_paper_table_metrics_within_tolerance():
     """The float32 fast path reproduces the paper-table ranking metrics.
 
-    This is the safety assertion behind running the efficiency benches on the
-    float32 engine: training *and* scoring a model entirely in float32 must
+    This is the safety assertion behind the float32 fast path
+    (``engine_dtype("float32")``, ``repro profile --dtype float32``):
+    training *and* scoring a model entirely in float32 must
     leave every ranking metric within 1e-4 of the float64 reference (the
     parity suite itself stays float64).
     """

@@ -212,6 +212,37 @@ class TestScorerExactness:
         assert tiny.score(request).scores.tolist() == scorer.score(request).scores.tolist()
 
 
+class TestRequestValidation:
+    @pytest.mark.parametrize("deadline_ms", [None, 60_000.0], ids=["grouped", "deadline"])
+    def test_out_of_range_ids_fail_only_their_own_request(self, served, deadline_ms):
+        _model, store, scorer, _reference = served
+        num_users, num_items = store.tables["a"].num_users, store.tables["a"].num_items
+        batch = [
+            ScoreRequest("a", 0, k=5),
+            ScoreRequest("a", -1, k=5),
+            ScoreRequest("a", 1, k=3, candidates=np.array([4, 0, 2])),
+            ScoreRequest("a", num_users, k=5),
+            ScoreRequest("a", 2, k=5, candidates=np.array([-1, 0, 1])),
+            ScoreRequest("b", 3, k=5),
+            ScoreRequest("a", 3, k=5, candidates=np.array([0, num_items])),
+            ScoreRequest("a", num_users - 1, k=5),
+        ]
+        bad = {1, 3, 4, 6}
+        for request in batch:
+            request.deadline_ms = deadline_ms
+        responses = scorer.score_batch(batch, collect_errors=True)
+        for position, (request, response) in enumerate(zip(batch, responses)):
+            if position in bad:
+                assert response.error == "bad_request"
+                with pytest.raises(ValueError, match="out of range"):
+                    scorer.score(request)
+            else:
+                single = scorer.score(request)
+                assert response.items.tolist() == single.items.tolist()
+                assert response.scores.tolist() == single.scores.tolist()
+                assert response.cold_start == single.cold_start
+
+
 # ----------------------------------------------------------------------
 # cold-start routing
 # ----------------------------------------------------------------------

@@ -111,12 +111,14 @@ class TestRobustLoop:
         lines = [
             json.dumps({"domain": "zz", "user": 0}),  # unknown domain
             json.dumps({"user": 0}),  # missing domain key
+            json.dumps({"domain": "a", "user": -1}),  # out-of-range user
             json.dumps({"domain": "b", "user": 2, "k": 4}),
         ]
         responses = [json.loads(out) for out in session.serve_lines(lines, robust=True)]
         assert responses[0]["error"] == "bad_request"
         assert responses[1]["error"] == "bad_request"
-        assert len(responses[2]["items"]) == 4
+        assert responses[2]["error"] == "bad_request"
+        assert len(responses[3]["items"]) == 4
 
     def test_strict_mode_still_raises(self, session):
         with pytest.raises(json.JSONDecodeError):

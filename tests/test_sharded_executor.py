@@ -216,9 +216,14 @@ class TestShardedEquivalence:
     def test_four_shards_match_the_sampled_serial_stream(self, task):
         # The serial side builds its plans through the incremental
         # PlanSchedule, the workers from scratch around the same parent-drawn
-        # pools; the plans are byte-identical, so the decomposition is gated
-        # bit-for-bit against the serial sampled executor (which
-        # test_subgraph_sampling.py gates against the full-graph forward).
+        # pools.  Bit-equality with the serial sampled executor (which
+        # test_subgraph_sampling.py gates against the full-graph forward)
+        # holds for this seed at n=4 only: the per-shard gradient sums
+        # re-associate the serial reductions, and at n=2 and n=3 the losses
+        # differ by 1.7e-16 and 3.5e-16 relative.  The ulp-level gates
+        # (TestSampledShardedEquivalence::
+        # test_shards_match_the_sampled_serial_stream_at_ulp_level) state
+        # the general relation.
         serial = fit_history(task, "NMCDR", sampled_subgraph_training=True)
         sharded = fit_history(
             task,

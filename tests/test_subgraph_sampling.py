@@ -332,6 +332,58 @@ class TestSubgraphCache:
         assert len(cache) == 2
 
 
+class TestSampledPlanScaling:
+    def test_sampled_plan_nodes_follow_the_batch_not_the_graph(self):
+        """The O(graph) -> O(batch) claim, on node counts: over a 9x larger
+        graph, a 1-hop fanout-8 plan for a 128-row batch grows far less than
+        the graph and stays smaller than it."""
+        points = []
+        for scale in (2.0, 6.0, 18.0):
+            task = small_task(scale=scale)
+            graphs = [task.domain(key).train_graph for key in ("a", "b")]
+            model = NMCDR(task, NMCDRConfig(embedding_dim=32, seed=0))
+            model.configure_subgraph_sampling(True, num_hops=1, fanout=8)
+            loaders = [
+                iter(
+                    InteractionDataLoader(
+                        task.domain(key).split,
+                        batch_size=128,
+                        rng=np.random.default_rng(seed),
+                    )
+                )
+                for seed, key in ((1, "a"), (2, "b"))
+            ]
+            plan_nodes = []
+            for _ in range(8):
+                plan = model.plan_schedule.plan_for(
+                    {key: next(loader) for key, loader in zip(("a", "b"), loaders)}
+                )
+                plan_nodes.append(
+                    sum(
+                        len(plan.domain(key).subgraph.user_ids)
+                        + len(plan.domain(key).subgraph.item_ids)
+                        for key in ("a", "b")
+                    )
+                )
+            points.append(
+                {
+                    "users": sum(graph.num_users for graph in graphs),
+                    "full_nodes": sum(graph.num_users + graph.num_items for graph in graphs),
+                    "sampled_nodes": float(np.median(plan_nodes)),
+                }
+            )
+        smallest, largest = points[0], points[-1]
+        size_ratio = largest["users"] / smallest["users"]
+        full_ratio = largest["full_nodes"] / smallest["full_nodes"]
+        sampled_ratio = largest["sampled_nodes"] / smallest["sampled_nodes"]
+        assert size_ratio >= 4, "the sweep must span meaningfully different graph sizes"
+        assert sampled_ratio < 0.6 * full_ratio, (
+            f"sampled plans should grow sub-linearly: {sampled_ratio:.2f}x vs "
+            f"the graph's {full_ratio:.2f}x"
+        )
+        assert largest["sampled_nodes"] < largest["full_nodes"]
+
+
 @pytest.mark.slow
 class TestNMCDREquivalence:
     @pytest.mark.parametrize(
